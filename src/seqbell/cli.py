@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -19,129 +18,122 @@ from .config import (
     ExperimentConfig,
     OptimizerSettings,
     apply_overrides,
+    check_sigma,
     load_config,
 )
 from .engine import (
     ConfigError,
-    EnsembleResult,
     Mode,
     Model,
-    estimate_expectation,
-    estimate_pair_prob,
     run_ensemble,
     run_two_series,
     two_series_estimate,
     write_run_log,
 )
 from .inequalities import (
+    EQ7_PROBS,
+    EQ8_PROBS,
+    PAIRS,
     eq5_ratio,
     eq16_report,
     eq18_report,
     eval_eq4,
-    eval_eq6,
-    eval_eq7,
-    eval_eq8,
     eval_eq10,
+    evaluate_table,
     lhs16,
     lhs18,
     lhs18_from_pair_probs,
     quantum_pair_prob,
 )
-from .lhv import Setting, TripleDistribution, lhv_pair_prob
-from .qubit import Direction, Outcome, dot, state_from_bloch
+from .lhv import PAIR_MARGINAL_KEYS, Setting, TripleDistribution, lhv_pair_prob
+from .qubit import Outcome, dot, state_from_bloch
 from .reporting import InequalityReport, kv_line, report_lines, report_table_row
 from .search import grid_oracle, maximize, objective, reference_configuration
 from .verify import run_verification
 
-PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
-A, B, C = Setting.A, Setting.B, Setting.C
-
-# the probabilities entering EQ7 and EQ8, as (setting, sign, setting, sign)
-EQ7_PROBS = ((A, PLUS, C, MINUS), (A, PLUS, B, MINUS), (B, PLUS, C, MINUS))
-EQ8_PROBS = ((A, MINUS, C, PLUS), (A, MINUS, B, PLUS), (B, MINUS, C, PLUS))
 ALL_PROBS = EQ7_PROBS + EQ8_PROBS
+_SIGN = {Outcome.PLUS: "+", Outcome.MINUS: "-"}
 
 
-def _sign_token(sign: Outcome) -> str:
-    return "+" if sign is PLUS else "-"
+def _prob_key(x, sx, y, sy, sep=".") -> str:
+    return f"{x.name}{_SIGN[sx]}{sep}{y.name}{_SIGN[sy]}"
 
 
-def _prob_key(x, sx, y, sy) -> str:
-    return f"{x.name}{_sign_token(sx)}.{y.name}{_sign_token(sy)}"
+def _direction_lines(directions) -> list[str]:
+    return [f"  {n} = ({d.x:+.6f}, {d.y:+.6f}, {d.z:+.6f})" for n, d in zip("abc", directions)]
 
 
-def _direction_text(d: Direction) -> str:
-    return f"({d.x:+.6f}, {d.y:+.6f}, {d.z:+.6f})"
+# ---------------------------------------------------------------------------
+# shared report pieces
+
+
+def _structured(command: str, config: ExperimentConfig | None, lines: list[str]) -> str:
+    """A structured report: the header, the config block if any, then lines."""
+    head = ["format = structured", f"command = {command}"]
+    if config is not None:
+        head.append(kv_line("config.digest", config.digest()))
+        head += [f"config.{line}" for line in config.protocol_lines()]
+    return "\n".join(head + lines) + "\n"
+
+
+def _estimate_lines(prefix: str, est, value: float) -> list[str]:
+    return [
+        kv_line(f"{prefix}.defined", est.defined),
+        kv_line(f"{prefix}.value", value),
+        kv_line(f"{prefix}.stderr", est.stderr),
+        kv_line(f"{prefix}.n", est.n_conditioning),
+        kv_line(f"{prefix}.low_stats", est.low_stats),
+    ]
+
+
+def _estimate_row(label: str, value: str, est, flag_low_stats: bool = True) -> str:
+    flag = "  [low statistics]" if flag_low_stats and est.low_stats else ""
+    return f"  {label} = {value} +/- {est.stderr:.6f}  [n={est.n_conditioning}]{flag}"
+
+
+def _inequality_lines(reports, structured: bool) -> list[str]:
+    if structured:
+        return [line for r in reports for line in report_lines(r, f"inequality.{r.inequality_id}")]
+    return ["  " + report_table_row(r) for r in reports]
 
 
 # ---------------------------------------------------------------------------
 # predict
 
 
-def _closed_form_reports(config: ExperimentConfig) -> list[InequalityReport]:
-    a, b, c = config.directions
-    eq10 = InequalityReport(
-        "EQ10", lhs=dot(a, b) + dot(b, c) - dot(a, c), rhs=1.0, sigma_threshold=config.sigma
-    )
-    return [
-        eq16_report(a, b, c, config.sigma),
-        eq18_report(a, b, c, config.sigma),
-        eq10,
-    ]
-
-
 def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, float]:
     """The six inequality probabilities in exact closed form."""
-    a, b, c = config.directions
-    dirs = {A: a, B: b, C: c}
     if config.model is Model.QUANTUM:
+        dirs = dict(zip(Setting, config.directions))
+        state = config.state
         if use_prep:
-            state = state_from_bloch(
-                int(config.prep_sign) * dirs[config.prep_setting].as_array()
-            )
-        else:
-            state = config.state
-        return {
-            (x, sx, y, sy): quantum_pair_prob(state, dirs[x], sx, dirs[y], sy)
-            for (x, sx, y, sy) in ALL_PROBS
-        }
+            state = state_from_bloch(int(config.prep_sign) * dirs[config.prep_setting].as_array())
+        return {k: quantum_pair_prob(state, dirs[k[0]], k[1], dirs[k[2]], k[3]) for k in ALL_PROBS}
     dist = TripleDistribution(config.weights)
     if use_prep:
         try:
             dist = dist.condition(config.prep_setting, config.prep_sign)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return {
-        (x, sx, y, sy): lhv_pair_prob(dist, x, sx, y, sy) for (x, sx, y, sy) in ALL_PROBS
-    }
-
-
-def _exact_triplet_report(inequality_id, probs, keys, sigma) -> InequalityReport:
-    lhs_key, rhs1_key, rhs2_key = keys
-    return InequalityReport(
-        inequality_id,
-        lhs=probs[lhs_key],
-        rhs=probs[rhs1_key] + probs[rhs2_key],
-        stderr_margin=0.0,
-        sigma_threshold=sigma,
-    )
+    return {key: lhv_pair_prob(dist, *key) for key in ALL_PROBS}
 
 
 def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
     a, b, c = config.directions
-    reports = _closed_form_reports(config)
+    sigma = config.sigma
+    reports = [
+        eq16_report(a, b, c, sigma),
+        eq18_report(a, b, c, sigma),
+        InequalityReport("EQ10", dot(a, b) + dot(b, c) - dot(a, c), 1.0, sigma_threshold=sigma),
+    ]
     probs = _exact_pair_probs(config, use_prep)
-    eq7 = _exact_triplet_report("EQ7", probs, EQ7_PROBS, config.sigma)
-    eq8 = _exact_triplet_report("EQ8", probs, EQ8_PROBS, config.sigma)
+    triplets = [
+        InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
+        for eq, (lhs, rhs1, rhs2) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS))
+    ]
 
     if config.report_format == "structured":
         lines = [
-            "format = structured",
-            "command = predict",
-            kv_line("config.digest", config.digest()),
-        ]
-        lines += [f"config.{line}" for line in config.protocol_lines()]
-        lines += [
             kv_line("predict.prep_state_used", use_prep),
             kv_line("dot.ab", dot(a, b)),
             kv_line("dot.bc", dot(b, c)),
@@ -149,20 +141,15 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
             kv_line("closed.lhs16", lhs16(a, b, c)),
             kv_line("closed.lhs18", lhs18(a, b, c)),
         ]
-        for report in reports:
-            lines += report_lines(report, f"inequality.{report.inequality_id}")
-        for key, value in probs.items():
-            lines.append(kv_line(f"prob.P.{_prob_key(*key)}", value))
-        for report in (eq7, eq8):
-            lines += report_lines(report, f"inequality.{report.inequality_id}")
-        return "\n".join(lines) + "\n"
+        lines += _inequality_lines(reports, structured=True)
+        lines += [kv_line(f"prob.P.{_prob_key(*key)}", value) for key, value in probs.items()]
+        lines += _inequality_lines(triplets, structured=True)
+        return _structured("predict", config, lines)
 
     lines = [
         "exact predictions (no sampling)",
         f"config digest: {config.digest()}",
-        f"  a = {_direction_text(a)}",
-        f"  b = {_direction_text(b)}",
-        f"  c = {_direction_text(c)}",
+        *_direction_lines(config.directions),
         f"  a.b = {dot(a, b):+.9f}   b.c = {dot(b, c):+.9f}   a.c = {dot(a, c):+.9f}",
         "",
         f"lhs16 = {lhs16(a, b, c):.15f}",
@@ -170,18 +157,14 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
         "",
         "inequalities (closed form):",
     ]
-    lines += ["  " + report_table_row(r) for r in reports]
+    lines += _inequality_lines(reports, structured=False)
     source = "preparation eigenstate" if use_prep else (
         "configured state" if config.model is Model.QUANTUM else "configured weights"
     )
     lines += ["", f"pair probabilities from the {source}:"]
-    for key, value in probs.items():
-        x, sx, y, sy = key
-        lines.append(
-            f"  P({x.name}{_sign_token(sx)},{y.name}{_sign_token(sy)}) = {value:.9f}"
-        )
+    lines += [f"  P({_prob_key(*key, sep=',')}) = {value:.9f}" for key, value in probs.items()]
     lines += ["", "inequalities (probability form):"]
-    lines += ["  " + report_table_row(r) for r in (eq7, eq8)]
+    lines += _inequality_lines(triplets, structured=False)
     return "\n".join(lines) + "\n"
 
 
@@ -189,114 +172,69 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
 # simulate
 
 
-def _single_table_sections(config: ExperimentConfig, result: EnsembleResult):
-    table = result.table
-    expectations = {
-        (x, y): estimate_expectation(table, x, y) for (x, y) in ((A, B), (B, C), (A, C))
-    }
-    probs = {key: estimate_pair_prob(table, *key) for key in ALL_PROBS}
-    reports = [
-        eval_eq6(table, config.sigma),
-        eval_eq7(*(probs[k] for k in EQ7_PROBS), config.sigma),
-        eval_eq8(*(probs[k] for k in EQ8_PROBS), config.sigma),
-        eval_eq10(
-            expectations[(A, B)], expectations[(B, C)], expectations[(A, C)], config.sigma
-        ),
-    ]
-    if result.hidden is not None:
-        reports.append(eval_eq4(result.hidden, config.sigma))
-    return expectations, probs, reports
-
-
 def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -> str:
     structured = config.report_format == "structured"
     if result_minus is not None:
         return _build_two_series_report(config, result, result_minus, structured)
-    expectations, probs, reports = _single_table_sections(config, result)
-    same, agree = result.table.same_setting_totals()
-    lhs16_est = expectations[(A, B)].value + expectations[(B, C)].value - expectations[(A, C)].value
+    table, hidden = result.table, result.hidden
+    expectations, probs, reports = evaluate_table(table, config.sigma)
+    if hidden is not None:
+        reports.append(eval_eq4(hidden, config.sigma))
+    same, agree = table.same_setting_totals()
+    e_ab, e_bc, e_ac = expectations.values()
+    lhs16_est = e_ab.value + e_bc.value - e_ac.value
     lhs16_err = sum(e.stderr**2 for e in expectations.values()) ** 0.5
     lhs18_est, lhs18_err = lhs18_from_pair_probs(*(probs[k] for k in EQ7_PROBS))
 
     if structured:
         lines = [
-            "format = structured",
-            "command = simulate",
-            kv_line("config.digest", config.digest()),
-        ]
-        lines += [f"config.{line}" for line in config.protocol_lines()]
-        lines += [
-            kv_line("result.total_runs", result.table.total_runs),
+            kv_line("result.total_runs", table.total_runs),
             kv_line("result.same_setting_runs", same),
             kv_line("result.same_setting_agreement", agree / same if same else float("nan")),
         ]
         for (x, y), est in expectations.items():
-            prefix = f"estimate.E.{x.name}.{y.name}"
-            lines += [
-                kv_line(f"{prefix}.defined", est.defined),
-                kv_line(f"{prefix}.value", est.value),
-                kv_line(f"{prefix}.stderr", est.stderr),
-                kv_line(f"{prefix}.n", est.n_conditioning),
-                kv_line(f"{prefix}.low_stats", est.low_stats),
-            ]
+            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est, est.value)
         for key, prob in probs.items():
-            prefix = f"estimate.P.{_prob_key(*key)}"
-            lines += [
-                kv_line(f"{prefix}.defined", prob.defined),
-                kv_line(f"{prefix}.value", prob.estimate),
-                kv_line(f"{prefix}.stderr", prob.stderr),
-                kv_line(f"{prefix}.n", prob.n_conditioning),
-                kv_line(f"{prefix}.low_stats", prob.low_stats),
-            ]
+            lines += _estimate_lines(f"estimate.P.{_prob_key(*key)}", prob, prob.estimate)
         lines += [
             kv_line("derived.lhs16.value", lhs16_est),
             kv_line("derived.lhs16.stderr", lhs16_err),
             kv_line("derived.lhs18.value", lhs18_est),
             kv_line("derived.lhs18.stderr", lhs18_err),
         ]
-        for report in reports:
-            lines += report_lines(report, f"inequality.{report.inequality_id}")
-        if result.hidden is not None:
-            for x in Setting:
-                for y in Setting:
-                    if x == y:
-                        continue
-                    for sx in (PLUS, MINUS):
-                        for sy in (PLUS, MINUS):
-                            ratio = eq5_ratio(result.hidden, result.table, x, sx, y, sy)
-                            prefix = f"eq5.{_prob_key(x, sx, y, sy)}"
-                            lines.append(kv_line(f"{prefix}.defined", ratio.defined))
-                            if ratio.defined:
-                                lines += [
-                                    kv_line(f"{prefix}.ratio", ratio.ratio),
-                                    kv_line(f"{prefix}.stderr", ratio.stderr),
-                                    kv_line(f"{prefix}.marginal", ratio.marginal),
-                                    kv_line(f"{prefix}.observed", ratio.observed),
-                                ]
-        return "\n".join(lines) + "\n"
+        lines += _inequality_lines(reports, structured=True)
+        if hidden is not None:
+            for key in PAIR_MARGINAL_KEYS:
+                ratio = eq5_ratio(hidden, table, *key)
+                prefix = f"eq5.{_prob_key(*key)}"
+                lines.append(kv_line(f"{prefix}.defined", ratio.defined))
+                if ratio.defined:
+                    lines += [
+                        kv_line(f"{prefix}.ratio", ratio.ratio),
+                        kv_line(f"{prefix}.stderr", ratio.stderr),
+                        kv_line(f"{prefix}.marginal", ratio.marginal),
+                        kv_line(f"{prefix}.observed", ratio.observed),
+                    ]
+        return _structured("simulate", config, lines)
 
     lines = [
         f"run ensemble report ({config.model.value}, {config.mode.value} mode)",
         f"config digest: {config.digest()}",
-        f"runs: {result.table.total_runs}   seed: {config.seed}",
+        f"runs: {table.total_runs}   seed: {config.seed}",
         f"same-setting runs: {same}   agreement: "
         + (f"{agree / same:.6f}" if same else "undefined"),
         "",
         "expectation estimates:",
     ]
-    for (x, y), est in expectations.items():
-        flag = "  [low statistics]" if est.low_stats else ""
-        lines.append(
-            f"  E({x.name},{y.name}) = {est.value:+.6f} +/- {est.stderr:.6f}  [n={est.n_conditioning}]{flag}"
-        )
+    lines += [
+        _estimate_row(f"E({x.name},{y.name})", f"{est.value:+.6f}", est)
+        for (x, y), est in expectations.items()
+    ]
     lines += ["", "pair probability estimates:"]
-    for key, prob in probs.items():
-        x, sx, y, sy = key
-        flag = "  [low statistics]" if prob.low_stats else ""
-        lines.append(
-            f"  P({x.name}{_sign_token(sx)},{y.name}{_sign_token(sy)}) = "
-            f"{prob.estimate:.6f} +/- {prob.stderr:.6f}  [n={prob.n_conditioning}]{flag}"
-        )
+    lines += [
+        _estimate_row(f"P({_prob_key(*key, sep=',')})", f"{prob.estimate:.6f}", prob)
+        for key, prob in probs.items()
+    ]
     lines += [
         "",
         f"derived lhs16 = {lhs16_est:+.6f} +/- {lhs16_err:.6f}",
@@ -304,49 +242,32 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
         "",
         "inequalities:",
     ]
-    lines += ["  " + report_table_row(r) for r in reports]
-    if result.hidden is not None:
+    lines += _inequality_lines(reports, structured=False)
+    if hidden is not None:
         lines += ["", "sampling-factor ratios (expected 1):"]
-        for (x, sx, y, sy) in ALL_PROBS:
-            ratio = eq5_ratio(result.hidden, result.table, x, sx, y, sy)
+        for key in ALL_PROBS:
+            ratio = eq5_ratio(hidden, table, *key)
             if ratio.defined:
                 lines.append(
-                    f"  9 N[{x.name}{_sign_token(sx)}{y.name}{_sign_token(sy)}] / N(...) = "
+                    f"  9 N[{_prob_key(*key, sep='')}] / N(...) = "
                     f"{ratio.ratio:.6f} +/- {ratio.stderr:.6f}"
                 )
     return "\n".join(lines) + "\n"
 
 
 def _build_two_series_report(config, plus, minus, structured) -> str:
-    estimates = {
-        (x, y): two_series_estimate(plus.table, minus.table, x, y)
-        for (x, y) in ((A, B), (B, C), (A, C))
-    }
-    eq10 = eval_eq10(estimates[(A, B)], estimates[(B, C)], estimates[(A, C)], config.sigma)
-    lhs16_est = eq10.lhs if eq10.defined else float("nan")
+    estimates = {(x, y): two_series_estimate(plus.table, minus.table, x, y) for (x, y) in PAIRS}
+    eq10 = eval_eq10(*estimates.values(), config.sigma)
     if structured:
         lines = [
-            "format = structured",
-            "command = simulate",
-            kv_line("config.digest", config.digest()),
-        ]
-        lines += [f"config.{line}" for line in config.protocol_lines()]
-        lines += [
             kv_line("result.series_plus_runs", plus.table.total_runs),
             kv_line("result.series_minus_runs", minus.table.total_runs),
         ]
         for (x, y), est in estimates.items():
-            prefix = f"estimate.E.{x.name}.{y.name}"
-            lines += [
-                kv_line(f"{prefix}.defined", est.defined),
-                kv_line(f"{prefix}.value", est.value),
-                kv_line(f"{prefix}.stderr", est.stderr),
-                kv_line(f"{prefix}.n", est.n_conditioning),
-                kv_line(f"{prefix}.low_stats", est.low_stats),
-            ]
-        lines += [kv_line("derived.lhs16.value", lhs16_est)]
-        lines += report_lines(eq10, "inequality.EQ10")
-        return "\n".join(lines) + "\n"
+            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est, est.value)
+        lines.append(kv_line("derived.lhs16.value", eq10.lhs))  # nan when undefined
+        lines += _inequality_lines([eq10], structured=True)
+        return _structured("simulate", config, lines)
     lines = [
         f"two-series report ({config.model.value})",
         f"config digest: {config.digest()}",
@@ -354,11 +275,11 @@ def _build_two_series_report(config, plus, minus, structured) -> str:
         "",
         "combined expectation estimates:",
     ]
-    for (x, y), est in estimates.items():
-        lines.append(
-            f"  E({x.name},{y.name}) = {est.value:+.6f} +/- {est.stderr:.6f}  [n={est.n_conditioning}]"
-        )
-    lines += ["", "  " + report_table_row(eq10)]
+    lines += [
+        _estimate_row(f"E({x.name},{y.name})", f"{est.value:+.6f}", est, flag_low_stats=False)
+        for (x, y), est in estimates.items()
+    ]
+    lines += [""] + _inequality_lines([eq10], structured=False)
     return "\n".join(lines) + "\n"
 
 
@@ -374,12 +295,10 @@ def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings,
     grid_value = grid_oracle(kind, settings.grid_resolution)
     reference_value = objective(kind, reference_configuration(kind))
     discrepancy = result.value < grid_value - 1e-3
-    a, b, c = result.directions()
+    directions = result.directions()
 
     if config.report_format == "structured":
         lines = [
-            "format = structured",
-            "command = optimize",
             kv_line("objective", kind),
             kv_line("search.n_starts", result.n_starts),
             kv_line("search.seed", result.seed),
@@ -390,22 +309,22 @@ def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings,
             kv_line("search.gradient_norm", result.gradient_norm),
             kv_line("search.converged", result.converged),
         ]
-        angles = result.configuration
-        for name in ("theta_a", "phi_a", "theta_b", "phi_b", "theta_c", "phi_c"):
-            lines.append(kv_line(f"search.angles.{name}", getattr(angles, name)))
-        for name, d in (("a", a), ("b", b), ("c", c)):
-            lines += [
-                kv_line(f"search.directions.{name}.x", d.x),
-                kv_line(f"search.directions.{name}.y", d.y),
-                kv_line(f"search.directions.{name}.z", d.z),
-            ]
+        lines += [
+            kv_line(f"search.angles.{name}", getattr(result.configuration, name))
+            for name in ("theta_a", "phi_a", "theta_b", "phi_b", "theta_c", "phi_c")
+        ]
+        lines += [
+            kv_line(f"search.directions.{name}.{axis}", getattr(d, axis))
+            for name, d in zip("abc", directions)
+            for axis in "xyz"
+        ]
         lines += [
             kv_line("grid.resolution", settings.grid_resolution),
             kv_line("grid.value", grid_value),
             kv_line("reference_point.value", reference_value),
             kv_line("discrepancy", discrepancy),
         ]
-        return "\n".join(lines) + "\n"
+        return _structured("optimize", None, lines)
 
     lines = [
         f"violation search for {kind}",
@@ -414,9 +333,7 @@ def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings,
         f"  best value      = {result.value:.12f}",
         f"  gradient norm   = {result.gradient_norm:.3e}",
         f"  converged       = {result.converged}",
-        f"  a = {_direction_text(a)}",
-        f"  b = {_direction_text(b)}",
-        f"  c = {_direction_text(c)}",
+        *_direction_lines(directions),
         f"grid oracle at {settings.grid_resolution:.6f} rad = {grid_value:.12f}",
         f"reference configuration value = {reference_value:.12f}",
     ]
@@ -429,30 +346,24 @@ def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings,
 # entry points
 
 
-def _load(args) -> ExperimentConfig:
+def _load(args):
+    """The config after flag overrides, and its validated run protocol."""
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "runs", None) is not None:
-        overrides["n_runs"] = args.runs
-    if getattr(args, "format", None) is not None:
-        overrides["report_format"] = args.format
-    if getattr(args, "sigma", None) is not None:
-        overrides["sigma"] = args.sigma
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "log_runs", False):
-        overrides["log_runs"] = True
-    config = apply_overrides(config, **overrides)
-    if config.sigma <= 0:
-        raise ConfigError(f"report.sigma must be > 0, got {config.sigma!r}")
-    config.to_protocol()
-    return config
+    config = apply_overrides(
+        config,
+        seed=args.seed,
+        n_runs=getattr(args, "runs", None),
+        report_format=args.format,
+        sigma=args.sigma,
+        out_dir=args.out,
+        log_runs=getattr(args, "log_runs", None),
+    )
+    check_sigma(config.sigma)
+    return config, config.to_protocol()
 
 
 def cmd_predict(args) -> int:
-    config = _load(args)
+    config, _ = _load(args)
     sys.stdout.write(build_predict_report(config, use_prep=args.prep))
     return 0
 
@@ -469,8 +380,9 @@ def _write_outputs(config: ExperimentConfig, text: str, results: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _load(args)
-    protocol = config.to_protocol()
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    config, protocol = _load(args)
     if config.mode is Mode.TWO_SERIES:
         plus, minus = run_two_series(protocol, workers=args.workers)
         text = build_simulate_report(config, plus, minus)
@@ -486,17 +398,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = _load(args)
-    settings = config.optimizer or OptimizerSettings()
-    updates = {}
-    if args.objective is not None:
-        updates["objective"] = args.objective
-    if args.starts is not None:
-        updates["starts"] = args.starts
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        settings = replace(settings, **updates)
+    config, _ = _load(args)
+    settings = apply_overrides(
+        config.optimizer or OptimizerSettings(),
+        objective=args.objective,
+        starts=args.starts,
+        seed=args.seed,
+    )
     text = build_optimize_report(config, settings, use_reference_start=args.reference_start)
     sys.stdout.write(text)
     if config.out_dir is not None:
@@ -510,12 +418,12 @@ def cmd_verify(args) -> int:
     results = run_verification(seed=args.seed, literal_eq3=args.use_literal_eq3)
     all_ok = all(r.passed for r in results)
     if args.format == "structured":
-        lines = ["format = structured", "command = verify", kv_line("seed", args.seed)]
+        lines = [kv_line("seed", args.seed)]
         for r in results:
             lines.append(kv_line(f"check.{r.name}", "pass" if r.passed else "fail"))
             lines.append(kv_line(f"check.{r.name}.detail", r.detail))
         lines.append(kv_line("verify.ok", all_ok))
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(_structured("verify", None, lines))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -532,16 +440,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"seqbell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, runs=False, workers=False):
+    def common(p):
         p.add_argument("--config", metavar="PATH", help="experiment config file")
         p.add_argument("--seed", type=int, metavar="N")
         p.add_argument("--format", choices=("tabular", "structured"))
         p.add_argument("--sigma", type=float, metavar="K", help="violation significance threshold")
         p.add_argument("--out", metavar="DIR", help="directory for report and CSV outputs")
-        if runs:
-            p.add_argument("--runs", type=int, metavar="N", help="number of runs")
-        if workers:
-            p.add_argument("--workers", type=int, default=1, metavar="N")
 
     p_predict = sub.add_parser("predict", help="exact closed-form predictions, no sampling")
     common(p_predict)
@@ -553,8 +457,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="generate a run ensemble and evaluate inequalities")
-    common(p_sim, runs=True, workers=True)
-    p_sim.add_argument("--log-runs", action="store_true", dest="log_runs")
+    common(p_sim)
+    p_sim.add_argument("--runs", type=int, metavar="N", help="number of runs")
+    p_sim.add_argument("--workers", type=int, default=1, metavar="N")
+    p_sim.add_argument("--log-runs", action="store_true", dest="log_runs", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_opt = sub.add_parser("optimize", help="search directions maximizing a violation expression")
@@ -582,10 +488,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

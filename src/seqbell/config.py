@@ -152,6 +152,13 @@ class ExperimentConfig:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def check_sigma(sigma: float) -> float:
+    """The violation threshold, for config files and --sigma alike."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"report.sigma must be finite and > 0, got {sigma!r}")
+    return sigma
+
+
 def _parse_lines(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -287,9 +294,7 @@ def parse_config(text: str) -> ExperimentConfig:
     report_format = entries.pop("report.format", defaults.report_format)
     if report_format not in REPORT_FORMATS:
         raise ConfigError(f"report.format must be tabular or structured, got {report_format!r}")
-    sigma = _take_float(entries, "report.sigma", defaults.sigma)
-    if sigma <= 0:
-        raise ConfigError(f"report.sigma must be > 0, got {sigma!r}")
+    sigma = check_sigma(_take_float(entries, "report.sigma", defaults.sigma))
 
     out_dir = entries.pop("output.dir", None)
     log_runs = False
@@ -345,7 +350,7 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Apply CLI flag overrides; None values leave the config untouched."""
+def apply_overrides(config, **overrides):
+    """Apply CLI flag overrides to a config dataclass; None values leave it untouched."""
     fields = {k: v for k, v in overrides.items() if v is not None}
     return replace(config, **fields) if fields else config

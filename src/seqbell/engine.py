@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -322,9 +323,6 @@ def _lhv_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
     second = rng.integers(0, 3, size=n)
     o1 = TRIPLE_COMPONENTS[triples, first]
     o2 = TRIPLE_COMPONENTS[triples, second]
-    if config.disturbance is Disturbance.RESAMPLE:
-        # post-run realities: drawn, never read (see apply_disturbance)
-        sample_triple_indices(dist, n, rng)
     return first.astype(np.int8), second.astype(np.int8), o1, o2, triples
 
 
@@ -386,11 +384,18 @@ def _chunk_plan(n_runs: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rest] if rest else [])
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _generate_series(config: ProtocolConfig, series: int, workers: int) -> EnsembleResult:
     sizes = _chunk_plan(config.n_runs, config.chunk_size)
     args = [(config, series, i, size) for i, size in enumerate(sizes)]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts every worker at once: never more than chunks or CPUs
+    pool_size = min(workers, len(args), _usable_cpus())
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outputs = list(pool.map(_run_chunk, args, chunksize=1))
     else:
         outputs = [_run_chunk(a) for a in args]

@@ -23,16 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .engine import PairProbability, RunCountTable, estimate_expectation, estimate_pair_prob
 from .lhv import HiddenCountTable, Setting, check_count_inequality, hidden_marginal
 from .qubit import Direction, Outcome, PureState, born_prob, dot
 from .reporting import DEFAULT_SIGMA, InequalityReport, undefined_report
 
-if TYPE_CHECKING:
-    from .engine import PairProbability, RunCountTable
-
 eval_eq4 = check_count_inequality
+
+A, B, C = Setting.A, Setting.B, Setting.C
+PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
+
+# the setting pairs of EQ10, and the probabilities of EQ7 and EQ8 as
+# (setting, sign, setting, sign) in (lhs, rhs term, rhs term) order
+PAIRS = ((A, B), (B, C), (A, C))
+EQ7_PROBS = ((A, PLUS, C, MINUS), (A, PLUS, B, MINUS), (B, PLUS, C, MINUS))
+EQ8_PROBS = ((A, MINUS, C, PLUS), (A, MINUS, B, PLUS), (B, MINUS, C, PLUS))
 
 
 def quantum_pair_prob(
@@ -74,7 +80,7 @@ def eq18_report(
     return InequalityReport("EQ18", lhs=lhs18(a, b, c), rhs=1.0, sigma_threshold=sigma_threshold)
 
 
-def eval_eq6(table: "RunCountTable", sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:
+def eval_eq6(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:
     """Count form on observed runs: N[a+c-] <= N[a+b-] + N[b+c-].
 
     The margin's standard error treats the three cells as entries of one
@@ -101,9 +107,9 @@ def eval_eq6(table: "RunCountTable", sigma_threshold: float = DEFAULT_SIGMA) -> 
 
 def _prob_triplet_report(
     inequality_id: str,
-    lhs_prob: "PairProbability",
-    rhs_prob_1: "PairProbability",
-    rhs_prob_2: "PairProbability",
+    lhs_prob: PairProbability,
+    rhs_prob_1: PairProbability,
+    rhs_prob_2: PairProbability,
     sigma_threshold: float,
 ) -> InequalityReport:
     if not (lhs_prob.defined and rhs_prob_1.defined and rhs_prob_2.defined):
@@ -119,9 +125,9 @@ def _prob_triplet_report(
 
 
 def eval_eq7(
-    p_ac: "PairProbability",
-    p_ab: "PairProbability",
-    p_bc: "PairProbability",
+    p_ac: PairProbability,
+    p_ab: PairProbability,
+    p_bc: PairProbability,
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a+,c-) <= P(a+,b-) + P(b+,c-) on estimated probabilities."""
@@ -129,9 +135,9 @@ def eval_eq7(
 
 
 def eval_eq8(
-    p_ac: "PairProbability",
-    p_ab: "PairProbability",
-    p_bc: "PairProbability",
+    p_ac: PairProbability,
+    p_ab: PairProbability,
+    p_bc: PairProbability,
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a-,c+) <= P(a-,b+) + P(b-,c+) on estimated probabilities."""
@@ -152,8 +158,23 @@ def eval_eq10(e_ab, e_bc, e_ac, sigma_threshold: float = DEFAULT_SIGMA) -> Inequ
     )
 
 
+def evaluate_table(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA):
+    """Every observable statistic of one 36-cell count table: the E estimates
+    keyed by PAIRS, the EQ7/EQ8 probabilities keyed by (x, sx, y, sy), and the
+    EQ6, EQ7, EQ8 and EQ10 reports."""
+    expectations = {(x, y): estimate_expectation(table, x, y) for (x, y) in PAIRS}
+    probs = {key: estimate_pair_prob(table, *key) for key in EQ7_PROBS + EQ8_PROBS}
+    reports = [
+        eval_eq6(table, sigma_threshold),
+        eval_eq7(*(probs[k] for k in EQ7_PROBS), sigma_threshold),
+        eval_eq8(*(probs[k] for k in EQ8_PROBS), sigma_threshold),
+        eval_eq10(*expectations.values(), sigma_threshold),
+    ]
+    return expectations, probs, reports
+
+
 def lhs18_from_pair_probs(
-    p_ac: "PairProbability", p_ab: "PairProbability", p_bc: "PairProbability"
+    p_ac: PairProbability, p_ab: PairProbability, p_bc: PairProbability
 ) -> tuple[float, float]:
     """Reconstruct lhs18 and its standard error from the three EQ7 probabilities,
     via the identity lhs18 = 1 - 4 (P(a+,b-) + P(b+,c-) - P(a+,c-))."""
@@ -180,7 +201,7 @@ class Eq5Ratio:
 
 def eq5_ratio(
     hidden: HiddenCountTable,
-    runs: "RunCountTable",
+    runs: RunCountTable,
     x: Setting,
     sign_x: Outcome,
     y: Setting,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import product
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class Setting(IntEnum):
 
 
 SETTINGS = (Setting.A, Setting.B, Setting.C)
+
+# the 24 ordered pair marginals N(x^sx y^sy) as (x, sx, y, sy), in report order
+PAIR_MARGINAL_KEYS = tuple(
+    (x, sx, y, sy) for x, y, sx, sy in product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES) if x != y
+)
 
 
 @dataclass(frozen=True)
@@ -292,15 +298,7 @@ def hidden_marginal(
 
 def hidden_marginals(table: HiddenCountTable) -> dict[tuple[Setting, Outcome, Setting, Outcome], int]:
     """All 24 ordered pair marginals N(x^sx y^sy), keyed by (x, sx, y, sy)."""
-    out = {}
-    for x in SETTINGS:
-        for y in SETTINGS:
-            if x == y:
-                continue
-            for sx in OUTCOMES:
-                for sy in OUTCOMES:
-                    out[(x, sx, y, sy)] = hidden_marginal(table, x, sx, y, sy)
-    return out
+    return {key: hidden_marginal(table, *key) for key in PAIR_MARGINAL_KEYS}
 
 
 def count_inequality_decomposition(table: HiddenCountTable) -> int:

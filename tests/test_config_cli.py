@@ -97,6 +97,9 @@ class TestParse:
             "n_runs = many",
             "mode = sometimes",
             "report.sigma = -2",
+            "report.sigma = 0",
+            "report.sigma = nan",
+            "report.sigma = inf",
             "directions.a.x = 5",
             "prep.setting = D\nmode = prepared",
         ):
@@ -174,6 +177,19 @@ class TestCli:
         path.write_text("directions.a.x = 2\ndirections.a.y = 0\ndirections.a.z = 0\n")
         assert main(["predict", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["predict"], ["simulate", "--runs", "100"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_sigma_flag_rejected(self, command, value, capsys):
+        assert main(command + ["--sigma", value]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_workers_rejected(self, value, capsys):
+        assert main(["simulate", "--runs", "100", "--workers", value]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
 
     def test_simulate_structured_deterministic(self, capsys):
         argv = ["simulate", "--runs", "30000", "--seed", "5", "--format", "structured"]

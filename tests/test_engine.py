@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from seqbell import engine
 from seqbell.engine import (
     ConfigError,
     Mode,
@@ -192,6 +193,35 @@ class TestRunEnsemble:
         eight = run_ensemble(config, workers=8)
         assert np.array_equal(one.table.counts, eight.table.counts)
         assert np.array_equal(one.second_outcomes, eight.second_outcomes)
+
+    def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
+        # a stand-in executor records the pool size and maps in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+        five_chunks = quantum_config(n_runs=5000, seed=8, chunk_size=1000)
+        serial = run_ensemble(five_chunks)
+        for workers in (64, 2, 1):
+            result = run_ensemble(five_chunks, workers=workers)
+            assert np.array_equal(result.table.counts, serial.table.counts)
+        run_ensemble(quantum_config(n_runs=2000, chunk_size=1000), workers=64)
+        run_ensemble(quantum_config(n_runs=500, chunk_size=1000), workers=64)
+        # min(workers, chunks, CPUs); one worker or one chunk starts no pool
+        assert sizes == [3, 2, 2]
 
     def test_seed_determinism(self):
         config = quantum_config(n_runs=5000, seed=123)
@@ -393,9 +423,9 @@ class TestDisturbanceIsolation:
         assert np.array_equal(r0.hidden.counts, r1.hidden.counts)
 
     def test_resample_leaves_chunked_ensemble_unchanged(self, rng):
-        # the per-chunk resample draws happen after every outcome of the
-        # chunk is already fixed, so even an RNG-consuming disturbance is
-        # invisible in the generated ensemble
+        # a resample happens after both outcomes of a run are fixed and is
+        # never read, so the chunk sampler does not draw it: the disturbance
+        # is invisible in the generated ensemble
         dist = TripleDistribution(rng.random(8) + 0.01)
         base = run_ensemble(lhv_config(dist=dist, n_runs=10**5, seed=45))
         res = run_ensemble(
