@@ -2,14 +2,18 @@
 
 Every command runs in both report formats and is compared byte for byte
 with a checked-in file under tests/golden/.  Each file holds the exit
-status on its first line and the command's stdout after it.
+status on its first line and the command's stdout after it.  The CSV files
+that `simulate --out DIR --log-runs` writes are pinned by their SHA-256 in
+tests/golden/csv_digests.json.
 
 Regenerate the files (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -66,6 +70,15 @@ COMMANDS = (
     ]
 )
 
+# simulate configs whose runs*.csv and counts*.csv are pinned; the extra LHV
+# prepared config ends on a partial chunk
+CSV_CONFIGS = {
+    **CONFIGS,
+    "lhvprep-partial": "mode = prepared\nmodel = lhv\nn_runs = 2500\nseed = 10\n"
+    "chunk_size = 1000\nprep.setting = B\nprep.sign = -1\n" + _LHV_WEIGHTS,
+}
+CSV_DIGESTS = GOLDEN_DIR / "csv_digests.json"
+
 CASES = [
     (f"{name}.{fmt}", argv + ["--format", fmt])
     for name, argv in COMMANDS
@@ -82,8 +95,20 @@ def _run(argv, config_dir: Path) -> str:
 
 
 def _write_configs(config_dir: Path) -> None:
-    for name, text in CONFIGS.items():
+    for name, text in CSV_CONFIGS.items():
         (config_dir / f"{name}.cfg").write_text(text, encoding="utf-8")
+
+
+def _csv_digests(name: str, config_dir: Path) -> dict[str, str]:
+    """SHA-256 of every CSV that `simulate --log-runs` writes for a config."""
+    out = config_dir / f"{name}.out"
+    argv = ["simulate", "--config", str(config_dir / f"{name}.cfg"), "--out", str(out), "--log-runs"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("*.csv"))
+    }
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +124,13 @@ def test_output_matches_golden(case, argv, config_dir):
     assert _run(argv, config_dir) == expected
 
 
+@pytest.mark.parametrize("name", CSV_CONFIGS)
+def test_csv_outputs_match_golden(name, config_dir):
+    expected = json.loads(CSV_DIGESTS.read_text(encoding="utf-8"))
+    pinned = {key: value for key, value in expected.items() if key.startswith(f"{name}/")}
+    assert pinned and _csv_digests(name, config_dir) == pinned
+
+
 def _regenerate() -> None:
     import tempfile
 
@@ -107,6 +139,10 @@ def _regenerate() -> None:
         _write_configs(Path(tmp))
         for case, argv in CASES:
             (GOLDEN_DIR / f"{case}.txt").write_text(_run(argv, Path(tmp)), encoding="utf-8")
+        digests = {}
+        for name in CSV_CONFIGS:
+            digests.update(_csv_digests(name, Path(tmp)))
+    CSV_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} golden files to {GOLDEN_DIR}", file=sys.stderr)
 
 
