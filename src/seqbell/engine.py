@@ -7,16 +7,17 @@ a 9 x 4 count table; for the hidden-variable model the joint reality in
 force between the two measurements is also tallied per run.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
-RNG stream derived from (seed, s, i), chunk tables merge by addition, and
-chunk arrays concatenate in index order, so results are bit-identical for
-any worker count.  The per-chunk samplers are fully vectorized; the scalar
-run functions exist as the reference semantics and for unit-level checks.
+RNG stream derived from (seed, s, i) and chunk tables merge by addition, so
+results are bit-identical for any worker count.  Only the count tables are
+kept: the run log and `EnsembleResult.records` regenerate each chunk's runs
+from its own stream, one chunk at a time.  The per-chunk samplers are fully
+vectorized; the scalar run functions exist as the reference semantics and
+for unit-level checks.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -67,7 +68,12 @@ class Model(str, Enum):
 DEFAULT_CHUNK_SIZE = 65536
 
 _SIGN_TO_IDX = {1: 0, -1: 1}
-_IDX_TO_SIGN = (1, -1)
+
+# (first setting, second setting, first outcome, second outcome) of each of
+# the 36 cells, in the C order of the (3, 3, 2, 2) count table
+_CELLS = tuple(
+    itertools.product(SETTINGS, SETTINGS, (Outcome.PLUS, Outcome.MINUS), (Outcome.PLUS, Outcome.MINUS))
+)
 
 
 @dataclass(frozen=True)
@@ -126,23 +132,12 @@ class RunCountTable:
         return same, agree
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["pair_first", "pair_second", "outcome_first", "outcome_second", "count"])
-        for x in SETTINGS:
-            for y in SETTINGS:
-                for i in (0, 1):
-                    for j in (0, 1):
-                        writer.writerow(
-                            [
-                                x.name,
-                                y.name,
-                                f"{_IDX_TO_SIGN[i]:+d}",
-                                f"{_IDX_TO_SIGN[j]:+d}",
-                                int(self.counts[x, y, i, j]),
-                            ]
-                        )
-        return buf.getvalue()
+        rows = ["pair_first,pair_second,outcome_first,outcome_second,count"]
+        rows += [
+            f"{x.name},{y.name},{int(sx):+d},{int(sy):+d},{n}"
+            for (x, y, sx, sy), n in zip(_CELLS, self.counts.ravel().tolist())
+        ]
+        return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -305,83 +300,79 @@ def _effective_dist(config: ProtocolConfig) -> TripleDistribution:
 
 def _quantum_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
     dirs = np.array([d.as_array() for d in config.directions])
-    gram = dirs @ dirs.T
-    bloch0 = _effective_bloch(config)
-    first = rng.integers(0, 3, size=n)
-    second = rng.integers(0, 3, size=n)
-    p_first = 0.5 * (1.0 + (dirs @ bloch0)[first])
-    o1 = np.where(rng.random(n) < p_first, 1, -1).astype(np.int8)
-    p_second = 0.5 * (1.0 + o1 * gram[first, second])
-    o2 = np.where(rng.random(n) < p_second, 1, -1).astype(np.int8)
-    return first.astype(np.int8), second.astype(np.int8), o1, o2, None
+    # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
+    p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
+    p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+    # int8 per-run arrays: wider temporaries are trimmed and re-faulted by
+    # the allocator on every chunk
+    first = rng.integers(0, 3, size=n).astype(np.int8)
+    second = rng.integers(0, 3, size=n).astype(np.int8)
+    o1 = np.where(rng.random(n) < p_first[first], np.int8(1), np.int8(-1))
+    row = (o1 < 0) * np.int8(9) + first * 3 + second
+    o2 = np.where(rng.random(n) < p_second[row], np.int8(1), np.int8(-1))
+    return first, second, o1, o2, None
 
 
 def _lhv_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
     dist = _effective_dist(config)
     triples = sample_triple_indices(dist, n, rng)
-    first = rng.integers(0, 3, size=n)
-    second = rng.integers(0, 3, size=n)
+    first = rng.integers(0, 3, size=n).astype(np.int8)
+    second = rng.integers(0, 3, size=n).astype(np.int8)
     o1 = TRIPLE_COMPONENTS[triples, first]
     o2 = TRIPLE_COMPONENTS[triples, second]
-    return first.astype(np.int8), second.astype(np.int8), o1, o2, triples
+    return first, second, o1, o2, triples
+
+
+def _chunk_cells(config: ProtocolConfig, series: int, chunk_index: int, size: int):
+    """Draw one chunk from its own stream: each run's index into the 36
+    cells of `_CELLS` and, for the lhv model, its reality index."""
+    rng = _chunk_rng(config.seed, series, chunk_index)
+    sampler = _quantum_chunk if config.model is Model.QUANTUM else _lhv_chunk
+    first, second, o1, o2, triples = sampler(config, size, rng)
+    cell = (first * 3 + second) * 4 + (o1 < 0) * np.int8(2) + (o2 < 0)
+    return cell, triples
 
 
 def _run_chunk(args):
-    config, series, chunk_index, size = args
-    rng = _chunk_rng(config.seed, series, chunk_index)
-    if config.model is Model.QUANTUM:
-        first, second, o1, o2, triples = _quantum_chunk(config, size, rng)
-    else:
-        first, second, o1, o2, triples = _lhv_chunk(config, size, rng)
-    cell = (
-        (first.astype(np.int64) * 3 + second) * 4
-        + (o1 < 0).astype(np.int64) * 2
-        + (o2 < 0)
-    )
-    counts = np.bincount(cell, minlength=36).reshape(3, 3, 2, 2)
+    cell, triples = _chunk_cells(*args)
     hidden = None if triples is None else np.bincount(triples, minlength=8)
-    return chunk_index, counts, hidden, (first, second, o1, o2, triples)
-
-
-@dataclass
-class EnsembleResult:
-    """Counts plus compact per-run arrays for one generated ensemble."""
-
-    config: ProtocolConfig
-    table: RunCountTable
-    hidden: HiddenCountTable | None
-    first_settings: np.ndarray
-    second_settings: np.ndarray
-    first_outcomes: np.ndarray
-    second_outcomes: np.ndarray
-    triple_indices: np.ndarray | None = None
-    series: int = 0
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.first_settings)
-
-    def records(self) -> Iterator[RunRecord]:
-        """Materialize per-run records in generation order."""
-        prep = (
-            (self.config.prep_setting, self.config.prep_sign)
-            if self.config.mode is Mode.PREPARED
-            else None
-        )
-        for i in range(self.n_runs):
-            yield RunRecord(
-                run_id=i,
-                first_setting=Setting(int(self.first_settings[i])),
-                second_setting=Setting(int(self.second_settings[i])),
-                first_outcome=Outcome(int(self.first_outcomes[i])),
-                second_outcome=Outcome(int(self.second_outcomes[i])),
-                prep=prep,
-            )
+    return np.bincount(cell, minlength=36), hidden
 
 
 def _chunk_plan(n_runs: int, chunk_size: int) -> list[int]:
     full, rest = divmod(n_runs, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
+
+
+@dataclass
+class EnsembleResult:
+    """The outcome counts, and for the lhv model the reality counts, of one
+    generated ensemble.  No per-run data is kept: `records` regenerates it."""
+
+    config: ProtocolConfig
+    table: RunCountTable
+    hidden: HiddenCountTable | None
+    series: int = 0
+
+    @property
+    def n_runs(self) -> int:
+        return self.config.n_runs
+
+    def _cell_chunks(self) -> Iterator[np.ndarray]:
+        """Each chunk's per-run cell indices, regenerated in generation order."""
+        for i, size in enumerate(_chunk_plan(self.config.n_runs, self.config.chunk_size)):
+            yield _chunk_cells(self.config, self.series, i, size)[0]
+
+    def records(self) -> Iterator[RunRecord]:
+        """Per-run records in generation order, regenerated chunk by chunk."""
+        prep = (
+            (self.config.prep_setting, self.config.prep_sign)
+            if self.config.mode is Mode.PREPARED
+            else None
+        )
+        cells = itertools.chain.from_iterable(c.tolist() for c in self._cell_chunks())
+        for run_id, cell in enumerate(cells):
+            yield RunRecord(run_id, *_CELLS[cell], prep=prep)
 
 
 def _usable_cpus() -> int:
@@ -398,29 +389,18 @@ def _generate_series(config: ProtocolConfig, series: int, workers: int) -> Ensem
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outputs = list(pool.map(_run_chunk, args, chunksize=1))
     else:
-        outputs = [_run_chunk(a) for a in args]
-    outputs.sort(key=lambda item: item[0])
+        outputs = map(_run_chunk, args)
 
-    counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
+    counts = np.zeros(36, dtype=np.int64)
     hidden = np.zeros(8, dtype=np.int64) if config.model is Model.LHV else None
-    for _, chunk_counts, chunk_hidden, _arrays in outputs:
+    for chunk_counts, chunk_hidden in outputs:
         counts += chunk_counts
         if hidden is not None:
             hidden += chunk_hidden
-    arrays = [out[3] for out in outputs]
-
-    def concat(k):
-        return np.concatenate([a[k] for a in arrays])
-
     return EnsembleResult(
         config=config,
-        table=RunCountTable(counts),
+        table=RunCountTable(counts.reshape(3, 3, 2, 2)),
         hidden=None if hidden is None else HiddenCountTable(hidden),
-        first_settings=concat(0),
-        second_settings=concat(1),
-        first_outcomes=concat(2),
-        second_outcomes=concat(3),
-        triple_indices=concat(4) if config.model is Model.LHV else None,
         series=series,
     )
 
@@ -541,36 +521,28 @@ def perfect_correlation_check(records) -> float | None:
 
 
 def write_run_log(result: EnsembleResult, fileobj) -> None:
-    """CSV run log, one data row per run."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(
-        [
-            "run_id",
-            "mode",
-            "model",
-            "prep_setting",
-            "prep_sign",
-            "first_setting",
-            "first_outcome",
-            "second_setting",
-            "second_outcome",
-        ]
+    """CSV run log, one data row per run.
+
+    Rows are regenerated and written one chunk at a time, so memory stays
+    bounded by the chunk size whatever the number of runs.
+    """
+    config = result.config
+    prep = (
+        f"{config.prep_setting.name},{int(config.prep_sign):+d}"
+        if config.mode is Mode.PREPARED
+        else ","
     )
-    mode = result.config.mode.value
-    model = result.config.model.value
-    for rec in result.records():
-        prep_setting = rec.prep[0].name if rec.prep else ""
-        prep_sign = f"{int(rec.prep[1]):+d}" if rec.prep else ""
-        writer.writerow(
-            [
-                rec.run_id,
-                mode,
-                model,
-                prep_setting,
-                prep_sign,
-                rec.first_setting.name,
-                f"{int(rec.first_outcome):+d}",
-                rec.second_setting.name,
-                f"{int(rec.second_outcome):+d}",
-            ]
-        )
+    head = f",{config.mode.value},{config.model.value},{prep},"
+    # everything after the run_id, indexed by cell
+    tails = [f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in _CELLS]
+    fileobj.write(
+        "run_id,mode,model,prep_setting,prep_sign,"
+        "first_setting,first_outcome,second_setting,second_outcome\n"
+    )
+    start = 0
+    for cells in result._cell_chunks():
+        run_ids = map(str, range(start, start + len(cells)))
+        # writelines streams the rows: a joined chunk string would cost
+        # several MB per chunk of peak memory
+        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, cells.tolist())))
+        start += len(cells)
