@@ -10,6 +10,7 @@ errors do.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -432,6 +433,7 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqbell",

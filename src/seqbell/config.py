@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .engine import ConfigError, Mode, Model, ProtocolConfig
 from .lhv import ALL_TRIPLES, Disturbance, Setting, TripleDistribution
 from .qubit import Direction, Outcome, PureState, Z_AXIS, direction_from_spherical
-from .search import SearchConfig
+from .search import SearchConfig, check_grid_resolution
 
 REPORT_FORMATS = ("tabular", "structured")
 
@@ -37,6 +37,14 @@ class OptimizerSettings:
     step_tolerance: float = 1e-10
     max_iterations: int = 500
     grid_resolution: float = math.pi / 180
+
+    def __post_init__(self):
+        # config files and flags alike: fail before any search work
+        try:
+            self.to_search_config().validate()
+            check_grid_resolution(self.grid_resolution)
+        except ValueError as exc:
+            raise ConfigError(f"optimizer: {exc}") from exc
 
     def to_search_config(self) -> SearchConfig:
         return SearchConfig(

@@ -78,6 +78,8 @@ class SearchConfig:
             raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -271,16 +273,22 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
     )
 
 
+def check_grid_resolution(resolution: float) -> float:
+    """The grid oracle's angular step: at least 0.005 rad to bound the runtime."""
+    if not (math.isfinite(resolution) and resolution >= 0.005):
+        raise ValueError(f"resolution must be >= 0.005 rad, got {resolution!r}")
+    return resolution
+
+
 def grid_oracle(kind: str, resolution: float) -> float:
     """Exhaustive gauge-fixed scan; returns the maximum objective on the grid.
 
     The global-rotation gauge pins a to the north pole and b to azimuth
     zero, leaving theta_b, theta_c, phi_c on a uniform grid of the given
-    angular resolution (radians, at least 0.005 to bound the runtime).
+    angular resolution (radians, see `check_grid_resolution`).
     """
     kind = _normalize_kind(kind)
-    if not (math.isfinite(resolution) and resolution >= 0.005):
-        raise ValueError(f"resolution must be >= 0.005 rad, got {resolution!r}")
+    check_grid_resolution(resolution)
     n_theta = int(round(math.pi / resolution)) + 1
     n_phi = max(1, int(round(TWO_PI / resolution)))
     theta_b = np.linspace(0.0, math.pi, n_theta)

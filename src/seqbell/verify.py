@@ -229,6 +229,8 @@ def check_gradient(rng) -> CheckResult:
 
 
 def run_verification(seed: int = 42, literal_eq3: bool = False) -> list[CheckResult]:
+    if not 0 <= seed < 2**64:
+        raise engine.ConfigError(f"seed must be a non-negative 64-bit integer, got {seed}")
     rng = np.random.default_rng(seed)
     return [
         check_state_normalization(rng),

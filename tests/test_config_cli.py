@@ -102,6 +102,11 @@ class TestParse:
             "report.sigma = inf",
             "directions.a.x = 5",
             "prep.setting = D\nmode = prepared",
+            "optimizer.starts = 0",
+            "optimizer.seed = -1",
+            "optimizer.max_iterations = 0",
+            "optimizer.step_tolerance = 0",
+            "optimizer.grid_resolution = 0.001",
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)
@@ -188,6 +193,20 @@ class TestCli:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_workers_rejected(self, value, capsys):
         assert main(["simulate", "--runs", "100", "--workers", value]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--starts", "0"],
+            ["optimize", "--starts", "-2"],
+            ["verify", "--seed", "-1"],
+            ["verify", "--seed", str(2**64)],
+        ],
+    )
+    def test_bad_search_flags_rejected(self, argv, capsys):
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
