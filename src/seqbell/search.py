@@ -273,11 +273,10 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
     )
 
 
-def check_grid_resolution(resolution: float) -> float:
+def check_grid_resolution(resolution: float) -> None:
     """The grid oracle's angular step: at least 0.005 rad to bound the runtime."""
     if not (math.isfinite(resolution) and resolution >= 0.005):
         raise ValueError(f"resolution must be >= 0.005 rad, got {resolution!r}")
-    return resolution
 
 
 def grid_oracle(kind: str, resolution: float) -> float:
