@@ -30,8 +30,6 @@ from .lhv import (
     check_count_inequality,
     hidden_marginal,
     hidden_marginals,
-    lhv_read,
-    sample_triple,
 )
 from .engine import (
     EnsembleResult,
@@ -39,14 +37,9 @@ from .engine import (
     Model,
     ProtocolConfig,
     RunCountTable,
-    RunRecord,
-    draw_setting_pair,
+    cell_law,
     estimate_expectation,
     estimate_pair_prob,
-    execute_run_lhv,
-    execute_run_quantum,
-    perfect_correlation_check,
-    prepared_run,
     run_ensemble,
     run_two_series,
     two_series_estimate,
@@ -83,7 +76,6 @@ __all__ = [
     "ProtocolConfig",
     "PureState",
     "RunCountTable",
-    "RunRecord",
     "SearchConfig",
     "Setting",
     "TripleConfiguration",
@@ -91,11 +83,11 @@ __all__ = [
     "Z_AXIS",
     "bloch_vector",
     "born_prob",
+    "cell_law",
     "check_count_inequality",
     "collapse",
     "direction_from_spherical",
     "dot",
-    "draw_setting_pair",
     "eigenstate",
     "eq5_ratio",
     "estimate_expectation",
@@ -104,25 +96,19 @@ __all__ = [
     "eval_eq7",
     "eval_eq8",
     "eval_eq10",
-    "execute_run_lhv",
-    "execute_run_quantum",
     "grid_oracle",
     "hidden_marginal",
     "hidden_marginals",
     "lhs16",
     "lhs18",
-    "lhv_read",
     "load_config",
     "maximize",
     "measure",
     "parse_config",
-    "perfect_correlation_check",
-    "prepared_run",
     "quantum_expectation",
     "quantum_pair_prob",
     "run_ensemble",
     "run_two_series",
-    "sample_triple",
     "state_from_bloch",
     "two_series_estimate",
     "__version__",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +27,8 @@ from .engine import (
     ConfigError,
     Mode,
     Model,
+    ProtocolConfig,
+    cell_law,
     run_ensemble,
     run_two_series,
     two_series_estimate,
@@ -44,10 +47,9 @@ from .inequalities import (
     lhs16,
     lhs18,
     lhs18_from_pair_probs,
-    quantum_pair_prob,
 )
-from .lhv import PAIR_MARGINAL_KEYS, Setting, TripleDistribution, lhv_pair_prob
-from .qubit import Outcome, dot, state_from_bloch
+from .lhv import PAIR_MARGINAL_KEYS
+from .qubit import Outcome, dot
 from .reporting import InequalityReport, kv_line, report_lines, report_table_row
 from .search import grid_oracle, maximize, objective, reference_configuration
 from .verify import run_verification
@@ -102,24 +104,15 @@ def _inequality_lines(reports, structured: bool) -> list[str]:
 # predict
 
 
-def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, float]:
+def _exact_pair_probs(protocol: ProtocolConfig, use_prep: bool) -> dict[tuple, float]:
     """The six inequality probabilities in exact closed form."""
-    if config.model is Model.QUANTUM:
-        dirs = dict(zip(Setting, config.directions))
-        state = config.state
-        if use_prep:
-            state = state_from_bloch(int(config.prep_sign) * dirs[config.prep_setting].as_array())
-        return {k: quantum_pair_prob(state, dirs[k[0]], k[1], dirs[k[2]], k[3]) for k in ALL_PROBS}
-    dist = TripleDistribution(config.weights)
-    if use_prep:
-        try:
-            dist = dist.condition(config.prep_setting, config.prep_sign)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return {key: lhv_pair_prob(dist, *key) for key in ALL_PROBS}
+    law = cell_law(replace(protocol, mode=Mode.PREPARED if use_prep else Mode.FREE))
+    return {
+        (x, sx, y, sy): float(law[x, y, int(sx < 0), int(sy < 0)]) for x, sx, y, sy in ALL_PROBS
+    }
 
 
-def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
+def build_predict_report(config: ExperimentConfig, protocol: ProtocolConfig, use_prep: bool) -> str:
     a, b, c = config.directions
     sigma = config.sigma
     reports = [
@@ -127,7 +120,7 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
         eq18_report(a, b, c, sigma),
         InequalityReport("EQ10", dot(a, b) + dot(b, c) - dot(a, c), 1.0, sigma_threshold=sigma),
     ]
-    probs = _exact_pair_probs(config, use_prep)
+    probs = _exact_pair_probs(protocol, use_prep)
     triplets = [
         InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
         for eq, (lhs, rhs1, rhs2) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS))
@@ -364,14 +357,21 @@ def _load(args):
 
 
 def cmd_predict(args) -> int:
-    config, _ = _load(args)
-    sys.stdout.write(build_predict_report(config, use_prep=args.prep))
+    config, protocol = _load(args)
+    sys.stdout.write(build_predict_report(config, protocol, use_prep=args.prep))
     return 0
 
 
-def _write_outputs(config: ExperimentConfig, text: str, results: dict) -> None:
+def _make_out_dir(config: ExperimentConfig) -> Path | None:
+    """Create the output directory, if any, before any work is done."""
+    if config.out_dir is None:
+        return None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_outputs(out: Path, config: ExperimentConfig, text: str, results: dict) -> None:
     (out / "report.txt").write_text(text, encoding="utf-8")
     for suffix, result in results.items():
         (out / f"counts{suffix}.csv").write_text(result.table.to_csv_text(), encoding="utf-8")
@@ -384,6 +384,7 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config, protocol = _load(args)
+    out = _make_out_dir(config)
     if config.mode is Mode.TWO_SERIES:
         plus, minus = run_two_series(protocol, workers=args.workers)
         text = build_simulate_report(config, plus, minus)
@@ -393,8 +394,8 @@ def cmd_simulate(args) -> int:
         text = build_simulate_report(config, result)
         results = {"": result}
     sys.stdout.write(text)
-    if config.out_dir is not None:
-        _write_outputs(config, text, results)
+    if out is not None:
+        _write_outputs(out, config, text, results)
     return 0
 
 
@@ -406,11 +407,10 @@ def cmd_optimize(args) -> int:
         starts=args.starts,
         seed=args.seed,
     )
+    out = _make_out_dir(config)
     text = build_optimize_report(config, settings, use_reference_start=args.reference_start)
     sys.stdout.write(text)
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "optimize.txt").write_text(text, encoding="utf-8")
     return 0
 

@@ -93,7 +93,6 @@ class ExperimentConfig:
             dist=dist,
             prep_setting=self.prep_setting,
             prep_sign=self.prep_sign,
-            disturbance=self.disturbance,
             chunk_size=self.chunk_size,
         )
         config.validate()

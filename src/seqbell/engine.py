@@ -4,15 +4,15 @@ A run draws an ordered pair of settings, each uniform over {A, B, C}, and
 performs two back-to-back measurements on one system under either the
 quantum model or the deterministic joint-reality model.  Outcomes land in
 a 9 x 4 count table; for the hidden-variable model the joint reality in
-force between the two measurements is also tallied per run.
+force between the two measurements is also tallied per run.  `cell_law`
+gives the exact probability of every cell of that table, the reference the
+samplers are tested against.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i) and chunk tables merge by addition, so
 results are bit-identical for any worker count.  Only the count tables are
-kept: the run log and `EnsembleResult.records` regenerate each chunk's runs
-from its own stream, one chunk at a time.  The per-chunk samplers are fully
-vectorized; the scalar run functions exist as the reference semantics and
-for unit-level checks.
+kept: the run log regenerates each chunk's runs from its own stream, one
+chunk at a time.  The per-chunk samplers are fully vectorized.
 """
 
 from __future__ import annotations
@@ -21,31 +21,28 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
 from .lhv import (
-    Disturbance,
     HiddenCountTable,
-    HiddenTriple,
     Setting,
     SETTINGS,
     TRIPLE_COMPONENTS,
     TripleDistribution,
-    apply_disturbance,
-    lhv_read,
-    sample_triple,
+    lhv_pair_prob,
     sample_triple_indices,
 )
 from .qubit import (
+    OUTCOMES,
     Direction,
     Outcome,
     PureState,
     bloch_vector,
-    measure,
+    born_prob,
+    dot,
     state_from_bloch,
 )
 
@@ -72,18 +69,6 @@ _SIGN_TO_IDX = {1: 0, -1: 1}
 # (first setting, second setting, first outcome, second outcome) of each of
 # the 36 cells, in the C order of the (3, 3, 2, 2) count table
 _CELLS = tuple(itertools.product(SETTINGS, SETTINGS, Outcome, Outcome))
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One two-measurement run, optionally tagged with its preparation."""
-
-    run_id: int
-    first_setting: Setting
-    second_setting: Setting
-    first_outcome: Outcome
-    second_outcome: Outcome
-    prep: tuple[Setting, Outcome] | None = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,6 @@ class ProtocolConfig:
     dist: TripleDistribution | None = None
     prep_setting: Setting = Setting.A
     prep_sign: Outcome = Outcome.PLUS
-    disturbance: Disturbance = Disturbance.NONE
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def validate(self) -> None:
@@ -217,66 +201,6 @@ class ProtocolConfig:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference semantics
-
-
-def draw_setting_pair(rng: np.random.Generator) -> tuple[Setting, Setting]:
-    """Ordered setting pair, both entries independent and uniform over A, B, C."""
-    return Setting(int(rng.integers(0, 3))), Setting(int(rng.integers(0, 3)))
-
-
-def execute_run_quantum(
-    state: PureState,
-    pair: tuple[Setting, Setting],
-    directions: tuple[Direction, Direction, Direction],
-    rng: np.random.Generator,
-    run_id: int = 0,
-) -> RunRecord:
-    """Two immediately consecutive measurements starting from the given state."""
-    first, second = pair
-    o1, collapsed = measure(state, directions[Setting(first)], rng)
-    o2, _ = measure(collapsed, directions[Setting(second)], rng)
-    return RunRecord(run_id, Setting(first), Setting(second), o1, o2)
-
-
-def execute_run_lhv(
-    dist: TripleDistribution,
-    pair: tuple[Setting, Setting],
-    disturbance: Disturbance,
-    rng: np.random.Generator,
-    run_id: int = 0,
-) -> tuple[RunRecord, HiddenTriple]:
-    """One deterministic-readout run; returns the record and the joint
-    reality in force between its two measurements.
-
-    Any disturbance acts strictly after the second measurement, so it can
-    never touch the returned record or triple.
-    """
-    first, second = Setting(pair[0]), Setting(pair[1])
-    triple = sample_triple(dist, rng)
-    record = RunRecord(run_id, first, second, lhv_read(triple, first), lhv_read(triple, second))
-    apply_disturbance(triple, (first, second), disturbance, dist, rng)
-    return record, triple
-
-
-def prepared_run(config: ProtocolConfig, rng: np.random.Generator, run_id: int = 0) -> RunRecord:
-    """One run of the prepared protocol: set the preparation eigenstate
-    (quantum) or condition the reality ensemble on the preparation outcome
-    (lhv), then execute a standard run with a freshly drawn setting pair."""
-    pair = draw_setting_pair(rng)
-    prep = (config.prep_setting, config.prep_sign)
-    if config.model is Model.QUANTUM:
-        state0 = state_from_bloch(
-            int(config.prep_sign) * config.direction(config.prep_setting).as_array()
-        )
-        record = execute_run_quantum(state0, pair, config.directions, rng, run_id)
-    else:
-        conditioned = config.dist.condition(config.prep_setting, config.prep_sign)
-        record, _ = execute_run_lhv(conditioned, pair, config.disturbance, rng, run_id)
-    return replace(record, prep=prep)
-
-
-# ---------------------------------------------------------------------------
 # vectorized chunk core
 
 
@@ -294,6 +218,32 @@ def _effective_dist(config: ProtocolConfig) -> TripleDistribution:
     if config.mode is Mode.PREPARED:
         return config.dist.condition(config.prep_setting, config.prep_sign)
     return config.dist
+
+
+def cell_law(config: ProtocolConfig) -> np.ndarray:
+    """Exact P(first outcome, second outcome | setting pair) of every cell.
+
+    A (3, 3, 2, 2) array in the layout of `RunCountTable.counts`, so
+    n_runs * cell_law(config) / 9 is the expected count table.  Prepared
+    mode starts every run in the preparation eigenstate (quantum) or from
+    the conditioned weights (lhv); any other mode, including each series of
+    two-series mode, from the configured state or weights.
+    """
+    config.validate()
+    if config.model is Model.LHV:
+        dist = _effective_dist(config)
+        law = [lhv_pair_prob(dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
+    else:
+        state = config.state
+        if config.mode is Mode.PREPARED:
+            state = state_from_bloch(_effective_bloch(config))
+        # quantum_pair_prob's float steps, each Born probability and dot
+        # product evaluated once
+        dirs = config.directions
+        born = {(x, s): born_prob(state, dirs[x], s) for x in SETTINGS for s in OUTCOMES}
+        dots = {(x, y): dot(dirs[x], dirs[y]) for x in SETTINGS for y in SETTINGS}
+        law = [born[x, sx] * 0.5 * (1.0 + sx * sy * dots[x, y]) for x, y, sx, sy in _CELLS]
+    return np.array(law).reshape(3, 3, 2, 2)
 
 
 # Both samplers cast the settings to int8 as soon as they are drawn: with
@@ -349,7 +299,7 @@ def _chunk_plan(n_runs: int, chunk_size: int) -> list[int]:
 @dataclass
 class EnsembleResult:
     """The outcome counts, and for the lhv model the reality counts, of one
-    generated ensemble.  No per-run data is kept: `records` regenerates it."""
+    generated ensemble.  No per-run data is kept: the run log regenerates it."""
 
     config: ProtocolConfig
     table: RunCountTable
@@ -359,22 +309,6 @@ class EnsembleResult:
     @property
     def n_runs(self) -> int:
         return self.config.n_runs
-
-    def _cell_chunks(self) -> Iterator[np.ndarray]:
-        """Each chunk's per-run cell indices, regenerated in generation order."""
-        for i, size in enumerate(_chunk_plan(self.config.n_runs, self.config.chunk_size)):
-            yield _chunk_cells(self.config, self.series, i, size)[0]
-
-    def records(self) -> Iterator[RunRecord]:
-        """Per-run records in generation order, regenerated chunk by chunk."""
-        prep = (
-            (self.config.prep_setting, self.config.prep_sign)
-            if self.config.mode is Mode.PREPARED
-            else None
-        )
-        cells = itertools.chain.from_iterable(c.tolist() for c in self._cell_chunks())
-        for run_id, cell in enumerate(cells):
-            yield RunRecord(run_id, *_CELLS[cell], prep=prep)
 
 
 def _usable_cpus() -> int:
@@ -503,21 +437,6 @@ def two_series_estimate(
     )
 
 
-def perfect_correlation_check(records) -> float | None:
-    """Fraction of same-setting runs whose two outcomes agree.
-
-    None when the records contain no same-setting run.
-    """
-    same = agree = 0
-    for rec in records:
-        if rec.first_setting == rec.second_setting:
-            same += 1
-            agree += rec.first_outcome == rec.second_outcome
-    if same == 0:
-        return None
-    return agree / same
-
-
 # ---------------------------------------------------------------------------
 # exports
 
@@ -542,9 +461,10 @@ def write_run_log(result: EnsembleResult, fileobj) -> None:
         "first_setting,first_outcome,second_setting,second_outcome\n"
     )
     start = 0
-    for cells in result._cell_chunks():
-        run_ids = map(str, range(start, start + len(cells)))
+    for i, size in enumerate(_chunk_plan(config.n_runs, config.chunk_size)):
+        cells = _chunk_cells(config, result.series, i, size)[0].tolist()
+        run_ids = map(str, range(start, start + size))
         # writelines streams the rows: a joined chunk string would cost
         # several MB per chunk of peak memory
-        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, cells.tolist())))
-        start += len(cells)
+        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, cells)))
+        start += size

@@ -97,8 +97,9 @@ TRIPLE_COMPONENTS = np.array(
 class Disturbance(str, Enum):
     """What happens to the joint reality after the second measurement of a run.
 
-    Only the reality in force between the two measurements enters any count,
-    so every choice here leaves all observable statistics unchanged.
+    A configuration key that is recorded but never simulated: each run draws
+    a fresh reality, and only the reality in force between its two
+    measurements enters any count, so no choice here can change a statistic.
     """
 
     NONE = "none"
@@ -189,45 +190,10 @@ def _rebuild_triple_distribution(weights: np.ndarray, cum: np.ndarray) -> Triple
     return obj
 
 
-def sample_triple(dist: TripleDistribution, rng: np.random.Generator) -> HiddenTriple:
-    """Draw one joint reality."""
-    return ALL_TRIPLES[sample_triple_indices(dist, 1, rng)[0]]
-
-
 def sample_triple_indices(dist: TripleDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n triple indices at once (vectorized form of sample_triple)."""
+    """Draw n joint realities at once, as indices into ALL_TRIPLES."""
     idx = np.searchsorted(dist._cum, rng.random(n), side="right")
     return np.minimum(idx, 7).astype(np.int8)
-
-
-def lhv_read(triple: HiddenTriple, setting: Setting) -> Outcome:
-    """Deterministic readout of one setting; never alters the triple."""
-    return triple.component(setting)
-
-
-def apply_disturbance(
-    triple: HiddenTriple,
-    pair: tuple[Setting, Setting],
-    kind: Disturbance,
-    dist: TripleDistribution,
-    rng: np.random.Generator,
-) -> HiddenTriple:
-    """Post-run reality after the second measurement of a run.
-
-    Applied strictly after both outcomes are recorded, so the returned
-    triple never feeds back into any statistic of the run that produced it.
-    """
-    kind = Disturbance(kind)
-    if kind is Disturbance.NONE:
-        return triple
-    if kind is Disturbance.RESAMPLE:
-        return sample_triple(dist, rng)
-    measured = set(pair)
-    outs = [
-        o if s in measured else o.flipped()
-        for s, o in zip(SETTINGS, (triple.alpha, triple.beta, triple.gamma))
-    ]
-    return HiddenTriple(*outs)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from seqbell.engine import (
     ProtocolConfig,
     estimate_expectation,
     estimate_pair_prob,
-    perfect_correlation_check,
     run_ensemble,
 )
 from seqbell.inequalities import (
@@ -299,8 +298,7 @@ class TestCriterion7PerfectCorrelation:
         for config in (quantum, lhv):
             result = run_ensemble(config)
             same, agree = result.table.same_setting_totals()
-            fraction = perfect_correlation_check(result.records())
-            ok = ok and same >= 10**5 and agree == same and fraction == 1.0
+            ok = ok and same >= 10**5 and agree == same
             details.append(f"{config.model.value}: {agree}/{same}")
         assert report_line(7, ok, "same-setting agreement " + ", ".join(details))
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from seqbell import cli
 from seqbell.cli import main
 from seqbell.config import (
     DEFAULT_A,
@@ -207,6 +208,19 @@ class TestCli:
     )
     def test_bad_search_flags_rejected(self, argv, capsys):
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [["simulate", "--runs", "10"], ["optimize"]])
+    def test_bad_out_dir_fails_before_any_work(self, command, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_work)
+        monkeypatch.setattr(cli, "maximize", no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(command + ["--out", str(blocker / "out")]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 

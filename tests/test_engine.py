@@ -1,46 +1,49 @@
 import io
+import itertools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from seqbell import engine
+from seqbell.cli import main
+from seqbell.config import parse_config
 from seqbell.engine import (
     ConfigError,
     Mode,
     Model,
     ProtocolConfig,
     RunCountTable,
-    RunRecord,
-    draw_setting_pair,
+    cell_law,
     estimate_expectation,
     estimate_pair_prob,
-    execute_run_lhv,
-    execute_run_quantum,
-    perfect_correlation_check,
-    prepared_run,
     run_ensemble,
     run_two_series,
     two_series_estimate,
     write_run_log,
 )
+from seqbell.inequalities import quantum_pair_prob
 from seqbell.lhv import (
-    Disturbance,
+    ALL_TRIPLES,
     HiddenTriple,
     Setting,
     TripleDistribution,
     hidden_marginal,
-    lhv_expectation,
+    lhv_pair_prob,
+    sample_triple_indices,
 )
 from seqbell.qubit import (
+    OUTCOMES,
     Direction,
     Outcome,
     PureState,
     Z_AXIS,
     bloch_vector,
     dot,
+    measure,
     random_direction,
     random_state,
     state_from_bloch,
@@ -88,30 +91,33 @@ class TestDrawSettingPair:
         sigma = math.sqrt((1 / 9) * (8 / 9) / n)
         assert np.all(np.abs(counts / n - 1 / 9) < 4 * sigma)
 
-    def test_scalar_op_covers_all_pairs(self, rng):
-        seen = {draw_setting_pair(rng) for _ in range(2000)}
-        assert len(seen) == 9
-        assert (A, A) in seen
-
-    def test_chi_square_below_critical(self, rng):
+    def test_chi_square_below_critical(self):
+        # the setting pairs of a generated ensemble, over several chunks
         n = 10**6
-        counts = np.zeros(9, dtype=int)
-        for _ in range(200):
-            x, y = draw_setting_pair(rng)
-            counts[int(x) * 3 + int(y)] += 1
-        first = rng.integers(0, 3, size=n - 200)
-        second = rng.integers(0, 3, size=n - 200)
-        counts += np.bincount(first * 3 + second, minlength=9)
+        table = run_ensemble(quantum_config(n_runs=n, seed=27)).table
+        counts = table.counts.sum(axis=(2, 3)).ravel()
         chi2 = float(((counts - n / 9) ** 2 / (n / 9)).sum())
         assert chi2 < stats.chi2.ppf(0.999, df=8)
 
 
+def scalar_quantum_run(state, directions, pair, rng):
+    """One run measured step by step with the qubit primitives."""
+    o1, collapsed = measure(state, directions[pair[0]], rng)
+    o2, _ = measure(collapsed, directions[pair[1]], rng)
+    return o1, o2
+
+
 class TestScalarRuns:
+    """Runs performed one at a time from the qubit and lhv primitives agree
+    with `cell_law`."""
+
     def test_same_setting_always_equal(self, rng):
         psi = random_state(rng)
         for _ in range(300):
-            rec = execute_run_quantum(psi, (B, B), XYZ, rng)
-            assert rec.first_outcome == rec.second_outcome
+            o1, o2 = scalar_quantum_run(psi, XYZ, (B, B), rng)
+            assert o1 == o2
+        law = cell_law(quantum_config(state=psi))
+        assert law[B, B, 0, 1] == law[B, B, 1, 0] == 0.0
 
     def test_eigenstate_first_outcome_and_flip_rate(self, rng):
         # From |a+>, the first a-measurement is certain and the b-outcome
@@ -123,10 +129,11 @@ class TestScalarRuns:
         n = 20000
         flips = 0
         for _ in range(n):
-            rec = execute_run_quantum(psi, (A, B), dirs, rng)
-            assert rec.first_outcome is PLUS
-            flips += rec.second_outcome is MINUS
-        p = (1 - dot(a, b)) / 2
+            o1, o2 = scalar_quantum_run(psi, dirs, (A, B), rng)
+            assert o1 is PLUS
+            flips += o2 is MINUS
+        p = cell_law(quantum_config(directions=dirs, state=psi))[A, B, 0, 1]
+        assert p == pytest.approx((1 - dot(a, b)) / 2, abs=1e-12)
         assert abs(flips / n - p) < 4 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     def test_pair_bc_joint_frequency(self, rng):
@@ -137,32 +144,107 @@ class TestScalarRuns:
         n = 20000
         hits = 0
         for _ in range(n):
-            rec = execute_run_quantum(psi, (B, C), dirs, rng)
-            hits += rec.first_outcome is PLUS and rec.second_outcome is MINUS
-        p = (1 + dot(a, b)) * (1 - dot(b, c)) / 4
+            o1, o2 = scalar_quantum_run(psi, dirs, (B, C), rng)
+            hits += o1 is PLUS and o2 is MINUS
+        p = cell_law(quantum_config(directions=dirs, state=psi))[B, C, 0, 1]
+        assert p == pytest.approx((1 + dot(a, b)) * (1 - dot(b, c)) / 4, abs=1e-12)
         assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     def test_lhv_point_mass_record(self, rng):
         dist = TripleDistribution.point_mass(HiddenTriple.from_label("a+b-c+"))
-        for _ in range(100):
-            rec, triple = execute_run_lhv(dist, (A, B), Disturbance.NONE, rng)
-            assert rec.first_outcome is PLUS and rec.second_outcome is MINUS
+        for i in sample_triple_indices(dist, 100, rng):
+            triple = ALL_TRIPLES[i]
             assert triple.label() == "a+b-c+"
+            assert triple.component(A) is PLUS and triple.component(B) is MINUS
+        assert cell_law(lhv_config(dist=dist))[A, B, 0, 1] == 1.0
 
     def test_lhv_same_setting_equal(self, rng):
-        dist = TripleDistribution.uniform()
-        for _ in range(300):
-            rec, _ = execute_run_lhv(dist, (C, C), Disturbance.NONE, rng)
-            assert rec.first_outcome == rec.second_outcome
+        dist = TripleDistribution(rng.random(8))
+        law = cell_law(lhv_config(dist=dist))
+        for s in (A, B, C):
+            assert law[s, s, 0, 1] == law[s, s, 1, 0] == 0.0
+            assert law[s, s, 0, 0] + law[s, s, 1, 1] == pytest.approx(1.0)
 
-    def test_lhv_disturbance_never_touches_record(self, rng):
-        dist = TripleDistribution.uniform()
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        for _ in range(200):
-            rec_a, tr_a = execute_run_lhv(dist, (A, B), Disturbance.NONE, rng_a)
-            rec_b, tr_b = execute_run_lhv(dist, (A, B), Disturbance.FLIP_UNMEASURED, rng_b)
-            assert rec_a == rec_b and tr_a == tr_b
+
+# fixed configurations for the goodness-of-fit tests of the chunk samplers,
+# each with the configuration of a wrong law that the fit must reject
+_LAW_RNG = np.random.default_rng(606)
+_LAW_DIRS = tuple(random_direction(_LAW_RNG) for _ in range(3))
+_LAW_PSI = random_state(_LAW_RNG, random_direction(_LAW_RNG))
+# two zero weights make zero-probability cells in free mode too
+_LAW_DIST = TripleDistribution(_LAW_RNG.random(8) * [1, 1, 0, 1, 1, 1, 0, 1])
+_LAW_RUNS = 3 * 10**5
+
+
+def _law_cases():
+    q_free = quantum_config(directions=_LAW_DIRS, state=_LAW_PSI, n_runs=_LAW_RUNS, seed=61)
+    q_prep = replace(q_free, mode=Mode.PREPARED, prep_setting=B, prep_sign=MINUS, seed=62)
+    l_free = lhv_config(dist=_LAW_DIST, directions=_LAW_DIRS, n_runs=_LAW_RUNS, seed=63)
+    l_prep = replace(
+        l_free, mode=Mode.PREPARED, prep_setting=C, prep_sign=PLUS, seed=64, chunk_size=40000
+    )
+    return {
+        "quantum-free": (q_free, replace(q_free, state=state_from_bloch(-bloch_vector(_LAW_PSI)))),
+        "quantum-prepared": (q_prep, replace(q_prep, prep_sign=PLUS)),
+        "lhv-free": (l_free, replace(l_free, dist=TripleDistribution(_LAW_DIST.weights[::-1]))),
+        "lhv-prepared": (l_prep, replace(l_prep, prep_sign=MINUS)),
+    }
+
+
+LAW_CASES = _law_cases()
+
+
+def chi_square(counts, law, n_runs):
+    """Pearson statistic of a count table against n_runs * law / 9 over the
+    cells the law allows, with its degrees of freedom."""
+    expected = n_runs * law / 9
+    allowed = law > 1e-12
+    stat = float(((counts - expected)[allowed] ** 2 / expected[allowed]).sum())
+    return stat, int(allowed.sum()) - 1
+
+
+class TestCellLaw:
+    def test_matches_pair_probs_bitwise(self):
+        cells = list(itertools.product((A, B, C), (A, B, C), OUTCOMES, OUTCOMES))
+        for config, _ in LAW_CASES.values():
+            law = cell_law(config)
+            prepared = config.mode is Mode.PREPARED
+            if config.model is Model.QUANTUM:
+                state = config.state
+                if prepared:
+                    bloch = int(config.prep_sign) * config.direction(config.prep_setting).as_array()
+                    state = state_from_bloch(bloch)
+                d = config.direction
+                expected = [quantum_pair_prob(state, d(x), sx, d(y), sy) for x, y, sx, sy in cells]
+            else:
+                dist = config.dist
+                if prepared:
+                    dist = dist.condition(config.prep_setting, config.prep_sign)
+                expected = [lhv_pair_prob(dist, x, sx, y, sy) for x, y, sx, sy in cells]
+            assert law.shape == (3, 3, 2, 2)
+            assert law.tobytes() == np.array(expected).tobytes()
+            assert np.allclose(law.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_counts_fit_law(self, case):
+        config, _ = LAW_CASES[case]
+        law = cell_law(config)
+        counts = run_ensemble(config).table.counts
+        assert np.all(counts[law <= 1e-12] == 0)
+        stat, df = chi_square(counts, law, config.n_runs)
+        assert stat < stats.chi2.ppf(0.999, df)
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_wrong_law_rejected(self, case):
+        config, wrong = LAW_CASES[case]
+        counts = run_ensemble(config).table.counts
+        stat, df = chi_square(counts, cell_law(wrong), config.n_runs)
+        assert stat > stats.chi2.ppf(0.999, df)
+
+    def test_validates_config(self):
+        dist = TripleDistribution([0, 0, 0, 0, 1, 1, 1, 1])  # all a- triples
+        with pytest.raises(ConfigError):
+            cell_law(lhv_config(dist=dist, mode=Mode.PREPARED))
 
 
 class TestRunEnsemble:
@@ -259,25 +341,19 @@ class TestRunEnsemble:
 
 
 class TestPreparedRuns:
-    def test_prep_first_outcome_certain(self, rng):
-        config = quantum_config(mode=Mode.PREPARED, n_runs=10)
-        for _ in range(200):
-            rec = prepared_run(config, rng)
-            assert rec.prep == (A, PLUS)
-            if rec.first_setting is A:
-                assert rec.first_outcome is PLUS
+    def test_prep_first_outcome_certain(self):
+        # prep (A, +1): every A-first run opens with +1
+        config = quantum_config(mode=Mode.PREPARED, n_runs=20000, seed=12)
+        assert np.all(cell_law(config)[A, :, 1, :] < 1e-15)
+        assert not run_ensemble(config).table.counts[A, :, 1, :].any()
 
-    def test_orthogonal_pair_flip_rate(self, rng):
+    def test_orthogonal_pair_flip_rate(self):
         # prep (A, +1) with a.c = 0: P(a+, c-) = 1/2.
-        config = quantum_config(mode=Mode.PREPARED, n_runs=10)
-        n = 20000
-        hits = 0
-        for _ in range(n):
-            rec = execute_run_quantum(
-                state_from_bloch(X_AXIS.as_array()), (A, C), XYZ, rng
-            )
-            hits += rec.second_outcome is MINUS
-        assert abs(hits / n - 0.5) < 4 * math.sqrt(0.25 / n)
+        config = quantum_config(mode=Mode.PREPARED, n_runs=180000, seed=13)
+        assert cell_law(config)[A, C, 0, 1] == pytest.approx(0.5, abs=1e-15)
+        table = run_ensemble(config).table
+        n = table.pair_total(A, C)
+        assert abs(table.count(A, PLUS, C, MINUS) / n - 0.5) < 4 * math.sqrt(0.25 / n)
 
     def test_prepared_ensemble_quantum(self):
         config = quantum_config(mode=Mode.PREPARED, n_runs=50000, seed=11)
@@ -392,57 +468,73 @@ class TestTwoSeries:
 class TestPerfectCorrelation:
     def test_quantum_fraction_one(self):
         result = run_ensemble(quantum_config(n_runs=30000, seed=6))
-        assert perfect_correlation_check(result.records()) == 1.0
+        same, agree = result.table.same_setting_totals()
+        assert agree == same > 0
 
     def test_lhv_fraction_one(self):
         result = run_ensemble(lhv_config(n_runs=30000, seed=6))
-        assert perfect_correlation_check(result.records()) == 1.0
+        same, agree = result.table.same_setting_totals()
+        assert agree == same > 0
 
     def test_adversarial_records(self):
-        records = [
-            RunRecord(i, A, A, PLUS, PLUS if i else MINUS) for i in range(10)
-        ]
-        assert perfect_correlation_check(records) == pytest.approx(0.9)
+        # ten same-setting runs, one of them disagreeing, beside other pairs
+        counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
+        counts[A, A, 0, 0] = 9
+        counts[A, A, 1, 0] = 1
+        counts[A, B, 0, 1] = 5
+        assert RunCountTable(counts).same_setting_totals() == (10, 9)
 
     def test_undefined_without_same_setting_runs(self):
-        records = [RunRecord(0, A, B, PLUS, PLUS)]
-        assert perfect_correlation_check(records) is None
+        counts = np.zeros((3, 3, 2, 2), dtype=np.int64)
+        counts[A, B, 0, 0] = 1
+        assert RunCountTable(counts).same_setting_totals() == (0, 0)
+
+
+_LHV_PREP_TEXT = """mode = prepared
+model = lhv
+n_runs = 3000
+seed = 45
+chunk_size = 1000
+prep.setting = B
+prep.sign = -1
+lhv.weights.a+b+c+ = 0.3
+lhv.weights.a+b+c- = 0.05
+lhv.weights.a+b-c+ = 0.1
+lhv.weights.a+b-c- = 0.05
+lhv.weights.a-b+c+ = 0.2
+lhv.weights.a-b+c- = 0.1
+lhv.weights.a-b-c+ = 0.15
+lhv.weights.a-b-c- = 0.05
+"""
+
+
+def _disturbed_run(value, tmp_path, capsys):
+    """The parsed config and the CSV bytes of a simulate with the given disturbance."""
+    text = _LHV_PREP_TEXT + f"disturbance = {value}\n"
+    path = tmp_path / f"{value}.cfg"
+    path.write_text(text)
+    out = tmp_path / value
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--log-runs"]) == 0
+    capsys.readouterr()
+    return parse_config(text), [(out / name).read_bytes() for name in ("counts.csv", "runs.csv")]
 
 
 class TestDisturbanceIsolation:
-    def test_flip_bitwise_identical_to_none(self):
-        base = lhv_config(n_runs=20000, seed=44)
-        flipped = lhv_config(n_runs=20000, seed=44, disturbance=Disturbance.FLIP_UNMEASURED)
-        r0, r1 = run_ensemble(base), run_ensemble(flipped)
-        assert np.array_equal(r0.table.counts, r1.table.counts)
-        assert np.array_equal(r0.hidden.counts, r1.hidden.counts)
+    """The disturbance key is recorded in the digest but never reaches the
+    run protocol, so no count can depend on it."""
 
-    def test_resample_leaves_chunked_ensemble_unchanged(self, rng):
-        # a resample happens after both outcomes of a run are fixed and is
-        # never read, so the chunk sampler does not draw it: the disturbance
-        # is invisible in the generated ensemble
-        dist = TripleDistribution(rng.random(8) + 0.01)
-        base = run_ensemble(lhv_config(dist=dist, n_runs=10**5, seed=45))
-        res = run_ensemble(
-            lhv_config(dist=dist, n_runs=10**5, seed=45, disturbance=Disturbance.RESAMPLE)
-        )
-        assert np.array_equal(base.table.counts, res.table.counts)
-        true = lhv_expectation(dist, A, B)
-        for result in (base, res):
-            same, agree = result.table.same_setting_totals()
-            assert same == agree
-            est = estimate_expectation(result.table, A, B)
-            assert abs(est.value - true) < 5 * est.stderr + 1e-9
+    def _check_inert(self, value, tmp_path, capsys):
+        none_config, none_csv = _disturbed_run("none", tmp_path, capsys)
+        config, csv = _disturbed_run(value, tmp_path, capsys)
+        assert config.to_protocol() == none_config.to_protocol()
+        assert config.digest() != none_config.digest()
+        assert csv == none_csv
 
-    def test_resample_advances_scalar_stream_without_touching_records(self, rng):
-        dist = TripleDistribution(rng.random(8) + 0.01)
-        rng_none = np.random.default_rng(3)
-        rng_res = np.random.default_rng(3)
-        first_none, _ = execute_run_lhv(dist, (A, B), Disturbance.NONE, rng_none)
-        first_res, _ = execute_run_lhv(dist, (A, B), Disturbance.RESAMPLE, rng_res)
-        assert first_none == first_res
-        # the streams have now diverged by exactly the resample draw
-        assert rng_none.random() != rng_res.random()
+    def test_flip_bitwise_identical_to_none(self, tmp_path, capsys):
+        self._check_inert("flip-unmeasured-after-second", tmp_path, capsys)
+
+    def test_resample_leaves_chunked_ensemble_unchanged(self, tmp_path, capsys):
+        self._check_inert("resample-after-second", tmp_path, capsys)
 
 
 class TestExports:
@@ -472,7 +564,8 @@ class TestExports:
         assert fields[6] in ("+1", "-1")
 
     def test_run_log_and_records_rebuild_table(self, rng):
-        # several chunks and a partial last one, regenerated from their streams
+        # the run log's records over several chunks and a partial last one,
+        # regenerated from their streams, tally back into the count table
         dist = TripleDistribution(rng.random(8) + 0.05)
         config = lhv_config(dist=dist, mode=Mode.PREPARED, n_runs=2500, seed=13, chunk_size=1000)
         result = run_ensemble(config)
@@ -480,17 +573,13 @@ class TestExports:
         write_run_log(result, buf)
         rows = buf.getvalue().splitlines()[1:]
         from_log = np.zeros((3, 3, 2, 2), dtype=np.int64)
-        from_records = np.zeros((3, 3, 2, 2), dtype=np.int64)
-        for run_id, (row, rec) in enumerate(zip(rows, result.records(), strict=True)):
+        for run_id, row in enumerate(rows):
             fields = row.split(",")
-            assert int(fields[0]) == rec.run_id == run_id
+            assert int(fields[0]) == run_id
             x, y = Setting[fields[5]], Setting[fields[7]]
             from_log[x, y, int(fields[6] == "-1"), int(fields[8] == "-1")] += 1
-            sx, sy = int(rec.first_outcome < 0), int(rec.second_outcome < 0)
-            from_records[rec.first_setting, rec.second_setting, sx, sy] += 1
         assert run_id == 2499
         assert np.array_equal(from_log, result.table.counts)
-        assert np.array_equal(from_records, result.table.counts)
 
     def test_free_mode_log_has_empty_prep(self):
         result = run_ensemble(quantum_config(n_runs=3, seed=2))

@@ -5,20 +5,16 @@ from hypothesis import strategies as st
 
 from seqbell.lhv import (
     ALL_TRIPLES,
-    Disturbance,
     HiddenCountTable,
     HiddenTriple,
     Setting,
     TripleDistribution,
-    apply_disturbance,
     check_count_inequality,
     count_inequality_decomposition,
     hidden_marginal,
     hidden_marginals,
     lhv_expectation,
     lhv_pair_prob,
-    lhv_read,
-    sample_triple,
     sample_triple_indices,
 )
 from seqbell.qubit import OUTCOMES, Outcome
@@ -44,14 +40,14 @@ class TestHiddenTriple:
 
     def test_read_components(self):
         t = HiddenTriple.from_label("a+b-c+")
-        assert lhv_read(t, Setting.A) is Outcome.PLUS
-        assert lhv_read(t, Setting.B) is Outcome.MINUS
-        assert lhv_read(t, Setting.C) is Outcome.PLUS
+        assert t.component(Setting.A) is Outcome.PLUS
+        assert t.component(Setting.B) is Outcome.MINUS
+        assert t.component(Setting.C) is Outcome.PLUS
 
     def test_read_is_repeatable(self):
         for t in ALL_TRIPLES:
             for s in Setting:
-                assert lhv_read(t, s) == lhv_read(t, s)
+                assert t.component(s) == t.component(s)
 
     def test_read_is_setting_local(self):
         # changing an unmeasured component never changes the read outcome
@@ -59,7 +55,7 @@ class TestHiddenTriple:
             for s in Setting:
                 for other in ALL_TRIPLES:
                     if other.component(s) == t.component(s):
-                        assert lhv_read(other, s) == lhv_read(t, s)
+                        assert other.component(s) == t.component(s)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +68,7 @@ class TestTripleDistribution:
     def test_point_mass_sampling(self, rng):
         t = HiddenTriple.from_label("a+b+c+")
         dist = TripleDistribution.point_mass(t)
-        assert all(sample_triple(dist, rng) == t for _ in range(100))
+        assert all(ALL_TRIPLES[i] == t for i in sample_triple_indices(dist, 100, rng))
 
     def test_uniform_frequencies(self, rng):
         n = 10**6
@@ -83,8 +79,8 @@ class TestTripleDistribution:
 
     def test_pair_support_concentrates(self, rng):
         dist = TripleDistribution.from_mapping({"a+b-c+": 0.5, "a+b-c-": 0.5})
-        for _ in range(200):
-            t = sample_triple(dist, rng)
+        for i in sample_triple_indices(dist, 200, rng):
+            t = ALL_TRIPLES[i]
             assert t.alpha is Outcome.PLUS and t.beta is Outcome.MINUS
 
     def test_zero_weight_never_sampled(self, rng):
@@ -195,29 +191,6 @@ class TestCountInequality:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             HiddenCountTable(np.array([-1, 0, 0, 0, 0, 0, 0, 0]))
-
-
-class TestDisturbance:
-    def test_none_returns_same_triple(self, rng):
-        t = ALL_TRIPLES[3]
-        dist = TripleDistribution.uniform()
-        assert apply_disturbance(t, (Setting.A, Setting.B), Disturbance.NONE, dist, rng) is t
-
-    def test_flip_unmeasured_only(self, rng):
-        t = HiddenTriple.from_label("a+b+c+")
-        dist = TripleDistribution.uniform()
-        out = apply_disturbance(t, (Setting.A, Setting.B), Disturbance.FLIP_UNMEASURED, dist, rng)
-        assert out == HiddenTriple.from_label("a+b+c-")
-        same = apply_disturbance(t, (Setting.A, Setting.A), Disturbance.FLIP_UNMEASURED, dist, rng)
-        assert same == HiddenTriple.from_label("a+b-c-")
-
-    def test_resample_draws_from_distribution(self, rng):
-        target = HiddenTriple.from_label("a-b-c-")
-        dist = TripleDistribution.point_mass(target)
-        out = apply_disturbance(
-            ALL_TRIPLES[0], (Setting.B, Setting.C), Disturbance.RESAMPLE, dist, rng
-        )
-        assert out == target
 
 
 class TestLhvClosedForms:
