@@ -16,13 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    ExperimentConfig,
-    OptimizerSettings,
-    apply_overrides,
-    check_sigma,
-    load_config,
-)
+from .config import REPORT_FORMATS, ExperimentConfig, apply_overrides, check_sigma, load_config
 from .engine import (
     ConfigError,
     Mode,
@@ -51,7 +45,14 @@ from .inequalities import (
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
 from .reporting import InequalityReport, kv_line, report_lines, report_table_row
-from .search import grid_oracle, maximize, objective, reference_configuration
+from .search import (
+    OBJECTIVE_KINDS,
+    SearchConfig,
+    grid_oracle,
+    maximize,
+    objective,
+    reference_configuration,
+)
 from .verify import run_verification
 
 ALL_PROBS = EQ7_PROBS + EQ8_PROBS
@@ -281,11 +282,10 @@ def _build_two_series_report(config, plus, minus, structured) -> str:
 # optimize
 
 
-def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings, use_reference_start: bool) -> str:
-    kind = settings.objective.upper()
-    search_config = settings.to_search_config()
+def build_optimize_report(config: ExperimentConfig, settings: SearchConfig, use_reference_start: bool) -> str:
+    kind = settings.objective
     initial = reference_configuration(kind) if use_reference_start else None
-    result = maximize(search_config, initial=initial)
+    result = maximize(settings, initial=initial)
     grid_value = grid_oracle(kind, settings.grid_resolution)
     reference_value = objective(kind, reference_configuration(kind))
     discrepancy = result.value < grid_value - 1e-3
@@ -296,8 +296,8 @@ def build_optimize_report(config: ExperimentConfig, settings: OptimizerSettings,
             kv_line("objective", kind),
             kv_line("search.n_starts", result.n_starts),
             kv_line("search.seed", result.seed),
-            kv_line("search.step_tolerance", search_config.step_tolerance),
-            kv_line("search.max_iterations", search_config.max_iterations),
+            kv_line("search.step_tolerance", settings.step_tolerance),
+            kv_line("search.max_iterations", settings.max_iterations),
             kv_line("search.reference_start", use_reference_start),
             kv_line("search.value", result.value),
             kv_line("search.gradient_norm", result.gradient_norm),
@@ -356,12 +356,6 @@ def _load(args):
     return config, config.to_protocol()
 
 
-def cmd_predict(args) -> int:
-    config, protocol = _load(args)
-    sys.stdout.write(build_predict_report(config, protocol, use_prep=args.prep))
-    return 0
-
-
 def _make_out_dir(config: ExperimentConfig) -> Path | None:
     """Create the output directory, if any, before any work is done."""
     if config.out_dir is None:
@@ -378,6 +372,16 @@ def _write_outputs(out: Path, config: ExperimentConfig, text: str, results: dict
         if config.log_runs:
             with open(out / f"runs{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
                 write_run_log(result, fh)
+
+
+def cmd_predict(args) -> int:
+    config, protocol = _load(args)
+    out = _make_out_dir(config)
+    text = build_predict_report(config, protocol, use_prep=args.prep)
+    sys.stdout.write(text)
+    if out is not None:
+        (out / "predict.txt").write_text(text, encoding="utf-8")
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -402,9 +406,9 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     config, _ = _load(args)
     settings = apply_overrides(
-        config.optimizer or OptimizerSettings(),
+        config.optimizer or SearchConfig(),
         objective=args.objective,
-        starts=args.starts,
+        n_starts=args.starts,
         seed=args.seed,
     )
     out = _make_out_dir(config)
@@ -445,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", metavar="PATH", help="experiment config file")
         p.add_argument("--seed", type=int, metavar="N")
-        p.add_argument("--format", choices=("tabular", "structured"))
+        p.add_argument("--format", choices=REPORT_FORMATS)
         p.add_argument("--sigma", type=float, metavar="K", help="violation significance threshold")
         p.add_argument("--out", metavar="DIR", help="directory for report and CSV outputs")
 
@@ -467,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="search directions maximizing a violation expression")
     common(p_opt)
-    p_opt.add_argument("--objective", choices=("eq16", "eq18"))
+    p_opt.add_argument("--objective", choices=[kind.lower() for kind in OBJECTIVE_KINDS])
     p_opt.add_argument("--starts", type=int, metavar="N")
     p_opt.add_argument(
         "--reference-start",
@@ -478,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant suite")
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--format", choices=("tabular", "structured"), default="tabular")
+    p_verify.add_argument("--format", choices=REPORT_FORMATS, default="tabular")
     p_verify.add_argument(
         "--use-literal-eq3", action="store_true", help=argparse.SUPPRESS
     )

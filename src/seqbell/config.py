@@ -12,89 +12,32 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .engine import ConfigError, Mode, Model, ProtocolConfig
-from .lhv import ALL_TRIPLES, Disturbance, Setting, TripleDistribution
-from .qubit import Direction, Outcome, PureState, Z_AXIS, direction_from_spherical
-from .search import SearchConfig, check_grid_resolution
+from .lhv import ALL_TRIPLES, Disturbance, Setting
+from .qubit import Direction, Outcome, PureState, direction_from_spherical
+from .reporting import DEFAULT_SIGMA
+from .search import OBJECTIVE_KINDS, SearchConfig
 
 REPORT_FORMATS = ("tabular", "structured")
-
-# reference directions: orthogonal b, c and a along b - c
-DEFAULT_A = Direction(1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-DEFAULT_B = Direction(1.0, 0.0, 0.0)
-DEFAULT_C = Direction(0.0, 1.0, 0.0)
 
 _WEIGHT_LABELS = tuple(t.label() for t in ALL_TRIPLES)
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    objective: str = "eq16"
-    starts: int = 20
-    seed: int = 0
-    step_tolerance: float = 1e-10
-    max_iterations: int = 500
-    grid_resolution: float = math.pi / 180
+class ExperimentConfig(ProtocolConfig):
+    """A config file: the run protocol plus what only reports and the CLI read."""
 
-    def __post_init__(self):
-        # config files and flags alike: fail before any search work
-        try:
-            self.to_search_config().validate()
-            check_grid_resolution(self.grid_resolution)
-        except ValueError as exc:
-            raise ConfigError(f"optimizer: {exc}") from exc
-
-    def to_search_config(self) -> SearchConfig:
-        return SearchConfig(
-            objective=self.objective.upper(),
-            n_starts=self.starts,
-            step_tolerance=self.step_tolerance,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: Mode = Mode.FREE
-    model: Model = Model.QUANTUM
-    n_runs: int = 10**6
-    seed: int = 42
-    chunk_size: int = 65536
     disturbance: Disturbance = Disturbance.NONE
-    a: Direction = DEFAULT_A
-    b: Direction = DEFAULT_B
-    c: Direction = DEFAULT_C
-    state: PureState | None = field(default_factory=lambda: PureState(1.0, 0.0, Z_AXIS))
-    weights: tuple[float, ...] | None = None
-    prep_setting: Setting = Setting.A
-    prep_sign: Outcome = Outcome.PLUS
     report_format: str = "tabular"
-    sigma: float = 5.0
+    sigma: float = DEFAULT_SIGMA
     out_dir: str | None = None
     log_runs: bool = False
-    optimizer: OptimizerSettings | None = None
-
-    @property
-    def directions(self) -> tuple[Direction, Direction, Direction]:
-        return (self.a, self.b, self.c)
+    optimizer: SearchConfig | None = None
 
     def to_protocol(self) -> ProtocolConfig:
-        dist = TripleDistribution(self.weights) if self.weights is not None else None
-        config = ProtocolConfig(
-            mode=self.mode,
-            model=self.model,
-            directions=self.directions,
-            n_runs=self.n_runs,
-            seed=self.seed,
-            state=self.state,
-            dist=dist,
-            prep_setting=self.prep_setting,
-            prep_sign=self.prep_sign,
-            chunk_size=self.chunk_size,
-        )
+        config = ProtocolConfig(**{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)})
         config.validate()
         return config
 
@@ -145,8 +88,8 @@ class ExperimentConfig:
         if self.optimizer is not None:
             opt = self.optimizer
             lines += [
-                f"optimizer.objective = {opt.objective}",
-                f"optimizer.starts = {opt.starts}",
+                f"optimizer.objective = {opt.objective.lower()}",
+                f"optimizer.starts = {opt.n_starts}",
                 f"optimizer.seed = {opt.seed}",
                 f"optimizer.step_tolerance = {opt.step_tolerance!r}",
                 f"optimizer.max_iterations = {opt.max_iterations}",
@@ -277,11 +220,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if label not in values:
                 raise ConfigError(f"unknown triple label in {key!r}")
             values[label] = _take_float(entries, key)
-        try:
-            TripleDistribution([values[label] for label in _WEIGHT_LABELS])
-        except ValueError as exc:
-            raise ConfigError(f"lhv.weights: {exc}") from exc
-        weights = tuple(values[label] for label in _WEIGHT_LABELS)
+        weights = tuple(values.values())
 
     prep_keys = [k for k in entries if k.startswith("prep.")]
     if prep_keys and mode is not Mode.PREPARED:
@@ -313,16 +252,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     optimizer = None
     if any(k.startswith("optimizer.") for k in entries):
-        objective = entries.pop("optimizer.objective", "eq16")
-        if objective.lower() not in ("eq16", "eq18"):
+        search = SearchConfig()
+        objective = entries.pop("optimizer.objective", search.objective)
+        if objective.upper() not in OBJECTIVE_KINDS:
             raise ConfigError(f"optimizer.objective must be eq16 or eq18, got {objective!r}")
-        optimizer = OptimizerSettings(
-            objective=objective.lower(),
-            starts=_take_int(entries, "optimizer.starts", 20),
-            seed=_take_int(entries, "optimizer.seed", 0),
-            step_tolerance=_take_float(entries, "optimizer.step_tolerance", 1e-10),
-            max_iterations=_take_int(entries, "optimizer.max_iterations", 500),
-            grid_resolution=_take_float(entries, "optimizer.grid_resolution", math.pi / 180),
+        optimizer = apply_overrides(
+            search,
+            objective=objective,
+            n_starts=_take_int(entries, "optimizer.starts", search.n_starts),
+            seed=_take_int(entries, "optimizer.seed", search.seed),
+            step_tolerance=_take_float(entries, "optimizer.step_tolerance", search.step_tolerance),
+            max_iterations=_take_int(entries, "optimizer.max_iterations", search.max_iterations),
+            grid_resolution=_take_float(entries, "optimizer.grid_resolution", search.grid_resolution),
         )
 
     if entries:
@@ -358,6 +299,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(config, **overrides):
-    """Apply CLI flag overrides to a config dataclass; None values leave it untouched."""
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **fields) if fields else config
+    """Apply CLI flag overrides to a config dataclass; None values leave it untouched.
+    Only a `SearchConfig` checks its values when built: a bad one is an optimizer error."""
+    changes = {k: v for k, v in overrides.items() if v is not None}
+    try:
+        return replace(config, **changes) if changes else config
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc

@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .qubit import (
     Direction,
     Outcome,
     PureState,
+    Z_AXIS,
     bloch_vector,
     born_prob,
     dot,
@@ -62,7 +64,10 @@ class Model(str, Enum):
     LHV = "lhv"
 
 
-DEFAULT_CHUNK_SIZE = 65536
+# reference directions: orthogonal b, c and a along b - c
+DEFAULT_A = Direction(1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
+DEFAULT_B = Direction(1.0, 0.0, 0.0)
+DEFAULT_C = Direction(0.0, 1.0, 0.0)
 
 _SIGN_TO_IDX = {1: 0, -1: 1}
 
@@ -163,21 +168,33 @@ UNDEFINED_EXPECTATION = ExpectationEstimate(value=math.nan, stderr=math.nan, n_c
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything one ensemble needs: model, protocol, directions, seeding."""
+    """Everything one ensemble needs: model, protocol, directions, seeding.
+    The defaults are the reference experiment, with EQ16 left-hand side sqrt(2)."""
 
-    mode: Mode
-    model: Model
-    directions: tuple[Direction, Direction, Direction]
-    n_runs: int
-    seed: int
-    state: PureState | None = None
-    dist: TripleDistribution | None = None
+    mode: Mode = Mode.FREE
+    model: Model = Model.QUANTUM
+    n_runs: int = 10**6
+    seed: int = 42
+    chunk_size: int = 65536
+    a: Direction = DEFAULT_A
+    b: Direction = DEFAULT_B
+    c: Direction = DEFAULT_C
+    state: PureState | None = PureState(1.0, 0.0, Z_AXIS)
+    weights: tuple[float, ...] | None = None
     prep_setting: Setting = Setting.A
     prep_sign: Outcome = Outcome.PLUS
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+
+    @property
+    def directions(self) -> tuple[Direction, Direction, Direction]:
+        return (self.a, self.b, self.c)
+
+    @cached_property
+    def dist(self) -> TripleDistribution:
+        """The normalized lhv weights; cached, and pickled with the config."""
+        return TripleDistribution(self.weights)
 
     def validate(self) -> None:
-        if len(self.directions) != 3 or not all(isinstance(d, Direction) for d in self.directions):
+        if not all(isinstance(d, Direction) for d in self.directions):
             raise ConfigError("directions must be three unit vectors (a, b, c)")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
@@ -187,17 +204,19 @@ class ProtocolConfig:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.model is Model.QUANTUM and self.state is None:
             raise ConfigError("quantum model requires an initial state")
-        if self.model is Model.LHV and self.dist is None:
-            raise ConfigError("lhv model requires a triple distribution")
-        if self.model is Model.LHV and self.mode is Mode.PREPARED:
-            # fail before any work if the preparation has no support
+        if self.model is Model.LHV:
+            if self.weights is None:
+                raise ConfigError("lhv model requires a triple distribution")
             try:
-                self.dist.condition(self.prep_setting, self.prep_sign)
+                dist = self.dist
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-
-    def direction(self, setting: Setting) -> Direction:
-        return self.directions[Setting(setting)]
+                raise ConfigError(f"lhv.weights: {exc}") from exc
+            if self.mode is Mode.PREPARED:
+                # fail before any work if the preparation has no support
+                try:
+                    dist.condition(self.prep_setting, self.prep_sign)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +229,7 @@ def _chunk_rng(seed: int, series: int, chunk_index: int) -> np.random.Generator:
 
 def _effective_bloch(config: ProtocolConfig) -> np.ndarray:
     if config.mode is Mode.PREPARED:
-        return int(config.prep_sign) * config.direction(config.prep_setting).as_array()
+        return int(config.prep_sign) * config.directions[config.prep_setting].as_array()
     return bloch_vector(config.state)
 
 

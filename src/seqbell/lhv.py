@@ -93,6 +93,13 @@ TRIPLE_COMPONENTS = np.array(
     [[int(t.alpha), int(t.beta), int(t.gamma)] for t in ALL_TRIPLES], dtype=np.int8
 )
 
+# the realities consistent with readout sx at x and sy at y, keyed (x, sx, y, sy);
+# a same-setting key with unequal signs selects none
+_PAIR_MASKS = {
+    (x, sx, y, sy): (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
+    for x, y, sx, sy in product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES)
+}
+
 
 class Disturbance(str, Enum):
     """What happens to the joint reality after the second measurement of a run.
@@ -258,8 +265,7 @@ def hidden_marginal(
     ):
         mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, Setting.C] == -1)
         return int(table.counts[mask].sum())
-    mask = (TRIPLE_COMPONENTS[:, x] == int(sign_x)) & (TRIPLE_COMPONENTS[:, y] == int(sign_y))
-    return int(table.counts[mask].sum())
+    return int(table.counts[_PAIR_MASKS[x, sign_x, y, sign_y]].sum())
 
 
 def hidden_marginals(table: HiddenCountTable) -> dict[tuple[Setting, Outcome, Setting, Outcome], int]:
@@ -305,12 +311,7 @@ def lhv_pair_prob(
 ) -> float:
     """Exact P(x^sx, y^sy) for runs with ordered settings (x, y): readout is
     deterministic, so this is just the pair marginal of the weights."""
-    x, y = Setting(x), Setting(y)
-    if x == y:
-        mask = TRIPLE_COMPONENTS[:, x] == int(sign_x)
-        return float(dist.weights[mask].sum()) if sign_x == sign_y else 0.0
-    mask = (TRIPLE_COMPONENTS[:, x] == int(sign_x)) & (TRIPLE_COMPONENTS[:, y] == int(sign_y))
-    return float(dist.weights[mask].sum())
+    return float(dist.weights[_PAIR_MASKS[x, sign_x, y, sign_y]].sum())
 
 
 def lhv_expectation(dist: TripleDistribution, x: Setting, y: Setting) -> float:

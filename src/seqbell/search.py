@@ -64,14 +64,20 @@ class TripleConfiguration:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search and grid-oracle settings, checked when built; objective upper-case."""
+
     objective: str = "EQ16"
     n_starts: int = 20
     step_tolerance: float = 1e-10
     max_iterations: int = 500
     seed: int = 0
+    grid_resolution: float = math.pi / 180
+
+    def __post_init__(self):
+        object.__setattr__(self, "objective", _normalize_kind(self.objective))
+        self.validate()
 
     def validate(self) -> None:
-        _normalize_kind(self.objective)
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.step_tolerance <= 0:
@@ -80,6 +86,7 @@ class SearchConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_grid_resolution(self.grid_resolution)
 
 
 @dataclass(frozen=True)
@@ -181,24 +188,21 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 
 
 def local_search(
-    kind: str,
-    start: TripleConfiguration,
-    rng: np.random.Generator,
-    step_tolerance: float = 1e-10,
-    max_iterations: int = 500,
+    search: SearchConfig, start: TripleConfiguration, rng: np.random.Generator
 ) -> LocalSearchResult:
-    """Backtracking gradient ascent from one starting configuration.
+    """Backtracking gradient ascent on search.objective from one starting
+    configuration.
 
     Candidates are accepted only on strict improvement, so the value
     trajectory is non-decreasing; the search stops once the remaining
-    step times the gradient norm falls below step_tolerance.
+    step times the gradient norm falls below search.step_tolerance.
     """
-    kind = _normalize_kind(kind)
+    kind = search.objective
     x = _wrap_angles(start.as_array())
     f = objective(kind, TripleConfiguration.from_array(x))
     trajectory = [f]
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(search.max_iterations):
         g = gradient(kind, TripleConfiguration.from_array(x))
         g_norm = float(np.linalg.norm(g))
         if g_norm == 0.0:
@@ -206,7 +210,7 @@ def local_search(
             break
         step = 0.5
         accepted = False
-        while step * g_norm >= step_tolerance:
+        while step * g_norm >= search.step_tolerance:
             candidate = _reseed_poles(_wrap_angles(x + step * g), rng)
             f_cand = objective(kind, TripleConfiguration.from_array(candidate))
             if f_cand > f:
@@ -235,8 +239,6 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
     start.  Ties on value break by lexicographically smallest angles, so
     the reduction over starts is order independent.
     """
-    search.validate()
-    kind = _normalize_kind(search.objective)
     best: LocalSearchResult | None = None
     for start_index in range(search.n_starts):
         rng = np.random.default_rng(
@@ -246,13 +248,7 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
             start = initial
         else:
             start = TripleConfiguration.from_array(_random_start(rng))
-        result = local_search(
-            kind,
-            start,
-            rng,
-            step_tolerance=search.step_tolerance,
-            max_iterations=search.max_iterations,
-        )
+        result = local_search(search, start, rng)
         if (
             best is None
             or result.value > best.value
@@ -263,7 +259,7 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
         ):
             best = result
     return SearchResult(
-        objective=kind,
+        objective=search.objective,
         configuration=best.configuration,
         value=best.value,
         gradient_norm=best.gradient_norm,

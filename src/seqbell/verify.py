@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, inequalities, lhv, qubit, search
-from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, TripleDistribution
+from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
 from .qubit import Outcome
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -29,8 +29,9 @@ class CheckResult:
     detail: str
 
 
-def _random_directions(rng, n=3):
-    return tuple(qubit.random_direction(rng) for _ in range(n))
+def _random_directions(rng) -> dict:
+    """Three random directions, as the a, b, c arguments of ProtocolConfig."""
+    return dict(zip("abc", (qubit.random_direction(rng) for _ in range(3))))
 
 
 def check_state_normalization(rng) -> CheckResult:
@@ -88,7 +89,7 @@ def check_perfect_correlation_quantum(rng, seed) -> CheckResult:
     config = engine.ProtocolConfig(
         mode=engine.Mode.FREE,
         model=engine.Model.QUANTUM,
-        directions=_random_directions(rng),
+        **_random_directions(rng),
         n_runs=2 * 10**5,
         seed=seed,
         state=qubit.random_state(rng),
@@ -100,10 +101,10 @@ def check_perfect_correlation_lhv(rng, seed) -> CheckResult:
     config = engine.ProtocolConfig(
         mode=engine.Mode.FREE,
         model=engine.Model.LHV,
-        directions=_random_directions(rng),
+        **_random_directions(rng),
         n_runs=2 * 10**5,
         seed=seed,
-        dist=TripleDistribution(rng.random(8) + 0.01),
+        weights=tuple(rng.random(8) + 0.01),
     )
     return _perfect_correlation(config)
 
@@ -132,10 +133,10 @@ def check_eq5_sampling_factor(rng, seed) -> CheckResult:
     config = engine.ProtocolConfig(
         mode=engine.Mode.FREE,
         model=engine.Model.LHV,
-        directions=_random_directions(rng),
+        **_random_directions(rng),
         n_runs=10**6,
         seed=seed,
-        dist=TripleDistribution.uniform(),
+        weights=(0.125,) * 8,
     )
     result = engine.run_ensemble(config)
     worst = 0.0
@@ -152,10 +153,10 @@ def check_lhv_satisfaction(rng, seed) -> CheckResult:
         config = engine.ProtocolConfig(
             mode=engine.Mode.FREE,
             model=engine.Model.LHV,
-            directions=_random_directions(rng),
+            **_random_directions(rng),
             n_runs=2 * 10**5,
             seed=seed + i,
-            dist=TripleDistribution(rng.random(8)),
+            weights=tuple(rng.random(8)),
         )
         result = engine.run_ensemble(config)
         _, _, reports = inequalities.evaluate_table(result.table)
@@ -177,7 +178,7 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
         config = engine.ProtocolConfig(
             mode=engine.Mode.FREE,
             model=engine.Model.QUANTUM,
-            directions=directions,
+            **directions,
             n_runs=2 * 10**5,
             seed=seed + i,
             state=psi,
@@ -187,7 +188,7 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
             for y in Setting:
                 estimate = engine.estimate_pair_prob(result.table, x, PLUS, y, PLUS)
                 true = inequalities.quantum_pair_prob(
-                    psi, directions[x], PLUS, directions[y], PLUS
+                    psi, config.directions[x], PLUS, config.directions[y], PLUS
                 )
                 sigma = math.sqrt(true * (1 - true) / estimate.n_conditioning)
                 if sigma == 0.0:

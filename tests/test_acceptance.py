@@ -13,11 +13,15 @@ true landscape.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+import seqbell
 
 from seqbell.engine import (
     Mode,
@@ -128,7 +132,7 @@ class TestCriterion3QuantumMonteCarlo:
             config = ProtocolConfig(
                 mode=Mode.FREE,
                 model=Model.QUANTUM,
-                directions=dirs,
+                **dict(zip("abc", dirs)),
                 n_runs=10**6,
                 seed=1000 + i,
                 state=psi,
@@ -159,7 +163,9 @@ class TestCriterion4QuantumViolation:
         config = ProtocolConfig(
             mode=Mode.PREPARED,
             model=Model.QUANTUM,
-            directions=(a, b, c),
+            a=a,
+            b=b,
+            c=c,
             n_runs=10**6,
             seed=4,
             state=state_from_bloch(a.as_array()),
@@ -195,10 +201,10 @@ class TestCriterion5LhvSatisfaction:
             config = ProtocolConfig(
                 mode=Mode.FREE,
                 model=Model.LHV,
-                directions=dirs,
+                **dict(zip("abc", dirs)),
                 n_runs=10**6,
                 seed=100 + i,
-                dist=dist,
+                weights=tuple(dist.weights),
             )
             result = run_ensemble(config)
             table = result.table
@@ -251,10 +257,10 @@ class TestCriterion6SamplingFactor:
             config = ProtocolConfig(
                 mode=Mode.FREE,
                 model=Model.LHV,
-                directions=tuple(random_direction(rng) for _ in range(3)),
+                **dict(zip("abc", (random_direction(rng) for _ in range(3)))),
                 n_runs=10**6,
                 seed=10 + i,
-                dist=dist,
+                weights=tuple(dist.weights),
             )
             result = run_ensemble(config)
             for x in Setting:
@@ -280,7 +286,9 @@ class TestCriterion7PerfectCorrelation:
         quantum = ProtocolConfig(
             mode=Mode.FREE,
             model=Model.QUANTUM,
-            directions=(X_AXIS, Y_AXIS, Direction(0.0, 0.0, 1.0)),
+            a=X_AXIS,
+            b=Y_AXIS,
+            c=Direction(0.0, 0.0, 1.0),
             n_runs=4 * 10**5,
             seed=70,
             state=random_state(np.random.default_rng(7)),
@@ -288,10 +296,12 @@ class TestCriterion7PerfectCorrelation:
         lhv = ProtocolConfig(
             mode=Mode.FREE,
             model=Model.LHV,
-            directions=(X_AXIS, Y_AXIS, Direction(0.0, 0.0, 1.0)),
+            a=X_AXIS,
+            b=Y_AXIS,
+            c=Direction(0.0, 0.0, 1.0),
             n_runs=4 * 10**5,
             seed=71,
-            dist=TripleDistribution(np.random.default_rng(7).random(8)),
+            weights=tuple(np.random.default_rng(7).random(8)),
         )
         details = []
         ok = True
@@ -367,10 +377,14 @@ class TestCriterion8Optimizer:
 class TestCriterion9Determinism:
     @staticmethod
     def _run(args):
+        # the child imports the same seqbell as this process, PYTHONPATH set or not
+        src = str(Path(seqbell.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "seqbell.cli", *args],
             capture_output=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout

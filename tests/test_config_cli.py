@@ -4,15 +4,11 @@ import pytest
 
 from seqbell import cli
 from seqbell.cli import main
-from seqbell.config import (
-    DEFAULT_A,
-    OptimizerSettings,
-    apply_overrides,
-    parse_config,
-)
-from seqbell.engine import ConfigError, Mode, Model
+from seqbell.config import ExperimentConfig, apply_overrides, parse_config
+from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig
 from seqbell.lhv import Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
+from seqbell.search import SearchConfig
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,6 +50,8 @@ class TestParse:
         assert config.n_runs == 10**6 and config.seed == 42
         assert config.a == DEFAULT_A
         assert config.state == PureState(1.0, 0.0, Z_AXIS)
+        # one set of defaults: the file-level config adds none to the protocol's
+        assert ExperimentConfig().to_protocol() == ProtocolConfig()
 
     def test_lhv_weights(self):
         config = parse_config(LHV_TEXT)
@@ -129,7 +127,7 @@ class TestRoundTrip:
             "optimizer.objective = eq18\noptimizer.starts = 7\n"
             "output.dir = /tmp/x\noutput.log_runs = true\nreport.format = structured"
         )
-        assert config.optimizer == OptimizerSettings(objective="eq18", starts=7)
+        assert config.optimizer == SearchConfig(objective="eq18", n_starts=7)
         assert parse_config(config.to_text()) == config
 
     def test_digest_tracks_protocol_only(self):
@@ -211,7 +209,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("command", [["simulate", "--runs", "10"], ["optimize"]])
+    @pytest.mark.parametrize("command", [["simulate", "--runs", "10"], ["optimize"], ["predict"]])
     def test_bad_out_dir_fails_before_any_work(self, command, tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the output directory was made")
@@ -223,6 +221,15 @@ class TestCli:
         assert main(command + ["--out", str(blocker / "out")]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
+
+    def test_predict_writes_to_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "exact"
+        path = tmp_path / "predict.cfg"
+        path.write_text(f"output.dir = {out_dir}\nreport.format = structured\n")
+        assert main(["predict", "--config", str(path), "--prep"]) == 0
+        stdout = capsys.readouterr().out
+        assert (out_dir / "predict.txt").read_text() == stdout
+        assert sorted(p.name for p in out_dir.iterdir()) == ["predict.txt"]
 
     def test_simulate_structured_deterministic(self, capsys):
         argv = ["simulate", "--runs", "30000", "--seed", "5", "--format", "structured"]

@@ -61,7 +61,7 @@ def quantum_config(directions=XYZ, state=None, n_runs=100, seed=1, mode=Mode.FRE
     return ProtocolConfig(
         mode=mode,
         model=Model.QUANTUM,
-        directions=directions,
+        **dict(zip("abc", directions)),
         n_runs=n_runs,
         seed=seed,
         state=state or PureState(1.0, 0.0, Z_AXIS),
@@ -73,10 +73,10 @@ def lhv_config(dist=None, n_runs=100, seed=1, mode=Mode.FREE, directions=XYZ, **
     return ProtocolConfig(
         mode=mode,
         model=Model.LHV,
-        directions=directions,
+        **dict(zip("abc", directions)),
         n_runs=n_runs,
         seed=seed,
-        dist=dist or TripleDistribution.uniform(),
+        weights=tuple((dist or TripleDistribution.uniform()).weights),
         **kw,
     )
 
@@ -186,7 +186,7 @@ def _law_cases():
     return {
         "quantum-free": (q_free, replace(q_free, state=state_from_bloch(-bloch_vector(_LAW_PSI)))),
         "quantum-prepared": (q_prep, replace(q_prep, prep_sign=PLUS)),
-        "lhv-free": (l_free, replace(l_free, dist=TripleDistribution(_LAW_DIST.weights[::-1]))),
+        "lhv-free": (l_free, replace(l_free, weights=tuple(_LAW_DIST.weights[::-1]))),
         "lhv-prepared": (l_prep, replace(l_prep, prep_sign=MINUS)),
     }
 
@@ -212,10 +212,10 @@ class TestCellLaw:
             if config.model is Model.QUANTUM:
                 state = config.state
                 if prepared:
-                    bloch = int(config.prep_sign) * config.direction(config.prep_setting).as_array()
+                    bloch = int(config.prep_sign) * config.directions[config.prep_setting].as_array()
                     state = state_from_bloch(bloch)
-                d = config.direction
-                expected = [quantum_pair_prob(state, d(x), sx, d(y), sy) for x, y, sx, sy in cells]
+                d = config.directions
+                expected = [quantum_pair_prob(state, d[x], sx, d[y], sy) for x, y, sx, sy in cells]
             else:
                 dist = config.dist
                 if prepared:
@@ -243,8 +243,12 @@ class TestCellLaw:
 
     def test_validates_config(self):
         dist = TripleDistribution([0, 0, 0, 0, 1, 1, 1, 1])  # all a- triples
-        with pytest.raises(ConfigError):
-            cell_law(lhv_config(dist=dist, mode=Mode.PREPARED))
+        empty_prep = lhv_config(dist=dist, mode=Mode.PREPARED)
+        negative = replace(empty_prep, mode=Mode.FREE, weights=(-1.0,) + (1.0,) * 7)
+        for config in (empty_prep, negative, replace(negative, weights=(0.0,) * 8)):
+            for call in (cell_law, run_ensemble):
+                with pytest.raises(ConfigError):
+                    call(config)
 
 
 class TestRunEnsemble:
@@ -262,11 +266,16 @@ class TestRunEnsemble:
         assert result.table.total_runs == 12345
 
     def test_worker_count_invariance(self):
-        config = lhv_config(n_runs=30000, seed=99, chunk_size=4096)
+        dist = TripleDistribution(np.random.default_rng(99).random(8))
+        config = lhv_config(dist=dist, n_runs=30000, seed=99, chunk_size=4096)
         one = run_ensemble(config, workers=1)
         eight = run_ensemble(config, workers=8)
         assert np.array_equal(one.table.counts, eight.table.counts)
         assert np.array_equal(one.hidden.counts, eight.hidden.counts)
+        # pool workers get the config by pickle: its weights arrive bit for bit
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        assert restored.dist.weights.tobytes() == config.dist.weights.tobytes()
 
     def test_worker_count_invariance_quantum(self):
         config = quantum_config(n_runs=30000, seed=5, chunk_size=4096)

@@ -171,10 +171,12 @@ class TestEq6:
         config = ProtocolConfig(
             mode=Mode.FREE,
             model=Model.LHV,
-            directions=(X_AXIS, Y_AXIS, Z_AXIS),
+            a=X_AXIS,
+            b=Y_AXIS,
+            c=Z_AXIS,
             n_runs=10**6,
             seed=13,
-            dist=dist,
+            weights=tuple(dist.weights),
         )
         report = eval_eq6(run_ensemble(config).table)
         assert not report.violated
@@ -184,7 +186,9 @@ class TestEq6:
         config = ProtocolConfig(
             mode=Mode.PREPARED,
             model=Model.QUANTUM,
-            directions=(a, b, c),
+            a=a,
+            b=b,
+            c=c,
             n_runs=10**6,
             seed=7,
             state=state_from_bloch(a.as_array()),
@@ -285,10 +289,12 @@ class TestEq5Ratio:
         config = ProtocolConfig(
             mode=Mode.FREE,
             model=Model.LHV,
-            directions=(X_AXIS, Y_AXIS, Z_AXIS),
+            a=X_AXIS,
+            b=Y_AXIS,
+            c=Z_AXIS,
             n_runs=9 * 10**5,
             seed=23,
-            dist=dist,
+            weights=tuple(dist.weights),
         )
         result = run_ensemble(config)
         ratio = eq5_ratio(result.hidden, result.table, A, PLUS, B, MINUS)
@@ -299,10 +305,12 @@ class TestEq5Ratio:
         config = ProtocolConfig(
             mode=Mode.FREE,
             model=Model.LHV,
-            directions=(X_AXIS, Y_AXIS, Z_AXIS),
+            a=X_AXIS,
+            b=Y_AXIS,
+            c=Z_AXIS,
             n_runs=10**6,
             seed=29,
-            dist=TripleDistribution.uniform(),
+            weights=(0.125,) * 8,
         )
         result = run_ensemble(config)
         for x in Setting:

@@ -131,7 +131,7 @@ class TestLocalSearch:
         for kind in ("EQ16", "EQ18"):
             for seed in range(5):
                 stream = np.random.default_rng(seed)
-                result = local_search(kind, random_config(stream), stream)
+                result = local_search(SearchConfig(objective=kind), random_config(stream), stream)
                 values = result.trajectory
                 assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -162,6 +162,11 @@ class TestMaximize:
         config = SearchConfig(objective="EQ16", n_starts=1, seed=0)
         result = maximize(config, initial=reference_configuration("EQ16"))
         assert result.value >= SQRT2 - 1e-12
+
+    @pytest.mark.parametrize("bad", [{"n_starts": 0}, {"objective": "eq99"}, {"grid_resolution": 0.001}])
+    def test_settings_checked_when_built(self, bad):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
 
     def test_deterministic_for_fixed_seed(self):
         config = SearchConfig(objective="EQ18", n_starts=6, seed=21)
