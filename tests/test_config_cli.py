@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from seqbell import cli
 from seqbell.cli import main
 from seqbell.config import ExperimentConfig, apply_overrides, parse_config
-from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig
+from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.lhv import Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
 from seqbell.search import SearchConfig
@@ -359,3 +361,60 @@ class TestCli:
         assert main(["verify", "--use-literal-eq3", "--format", "structured"]) == 1
         out = capsys.readouterr().out
         assert "check.eq4_identity = fail" in out
+
+
+
+class TestDerivedLines:
+    """The derived.* lines of a structured simulate report, pinned to the
+    estimator formulas written out from the raw counts."""
+
+    @staticmethod
+    def _expected(counts):
+        """The four derived lines, and the sum of squares under the lhs16 stderr."""
+        nan = float("nan")
+        values, errs = [], []
+        for x, y in ((0, 1), (1, 2), (0, 2)):  # E(a,b), E(b,c), E(a,c)
+            block = counts[x, y]
+            n = int(block.sum())
+            value = float(block[0, 0] + block[1, 1] - block[0, 1] - block[1, 0]) / n if n else nan
+            values.append(value)
+            errs.append(math.sqrt(max(0.0, 1.0 - value * value) / n) if n else nan)
+        square_sum = sum(e**2 for e in errs)
+        probs = []
+        # P(a+,c-), P(a+,b-), P(b+,c-); outcome index 0 is +1
+        for x, sx, y, sy in ((0, 0, 2, 1), (0, 0, 1, 1), (1, 0, 2, 1)):
+            n = int(counts[x, y].sum())
+            if n:
+                p = int(counts[x, y, sx, sy]) / n
+                probs.append((p, math.sqrt(p * (1.0 - p) / n)))
+        if len(probs) == 3:
+            (p_ac, s_ac), (p_ab, s_ab), (p_bc, s_bc) = probs
+            lhs18 = 1.0 - 4.0 * (p_ab + p_bc - p_ac)
+            lhs18_err = 4.0 * math.sqrt(s_ac**2 + s_ab**2 + s_bc**2)
+        else:
+            lhs18 = lhs18_err = nan
+        lines = [
+            cli.kv_line("derived.lhs16.value", values[0] + values[1] - values[2]),
+            cli.kv_line("derived.lhs16.stderr", square_sum**0.5),
+            cli.kv_line("derived.lhs18.value", lhs18),
+            cli.kv_line("derived.lhs18.stderr", lhs18_err),
+        ]
+        return lines, square_sum
+
+    def test_derived_lines_match_formulas(self):
+        config = ExperimentConfig(report_format="structured")
+        rng = np.random.default_rng(0)
+        roots_differ = 0
+        for i in range(3000):
+            counts = rng.integers(0, (5, 50, 200, 2000)[i % 4], size=(3, 3, 2, 2))
+            if i % 2:
+                counts[rng.random((3, 3, 2, 2)) < 0.2] = 0
+            result = SimpleNamespace(table=RunCountTable(counts), hidden=None)
+            text = cli.build_simulate_report(config, result)
+            derived = [line for line in text.splitlines() if line.startswith("derived.")]
+            expected, square_sum = self._expected(counts)
+            assert derived == expected, f"table {i}"
+            roots_differ += math.isfinite(square_sum) and square_sum**0.5 != math.sqrt(square_sum)
+        # the lhs16 stderr is `** 0.5`; a table where math.sqrt rounds
+        # differently shows that this test would catch a switch
+        assert roots_differ >= 1
