@@ -40,7 +40,6 @@ from .inequalities import (
     evaluate_table,
     lhs16,
     lhs18,
-    lhs18_from_pair_probs,
 )
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
@@ -80,10 +79,10 @@ def _structured(command: str, config: ExperimentConfig | None, lines: list[str])
     return "\n".join(head + lines) + "\n"
 
 
-def _estimate_lines(prefix: str, est, value: float) -> list[str]:
+def _estimate_lines(prefix: str, est) -> list[str]:
     return [
         kv_line(f"{prefix}.defined", est.defined),
-        kv_line(f"{prefix}.value", value),
+        kv_line(f"{prefix}.value", est.value),
         kv_line(f"{prefix}.stderr", est.stderr),
         kv_line(f"{prefix}.n", est.n_conditioning),
         kv_line(f"{prefix}.low_stats", est.low_stats),
@@ -173,13 +172,15 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
         return _build_two_series_report(config, result, result_minus, structured)
     table, hidden = result.table, result.hidden
     expectations, probs, reports = evaluate_table(table, config.sigma)
+    _, eq7, _, eq10 = reports
     if hidden is not None:
         reports.append(eval_eq4(hidden, config.sigma))
     same, agree = table.same_setting_totals()
-    e_ab, e_bc, e_ac = expectations.values()
-    lhs16_est = e_ab.value + e_bc.value - e_ac.value
+    # ** 0.5 here and math.sqrt in EQ10's stderr can differ in the last bit
     lhs16_err = sum(e.stderr**2 for e in expectations.values()) ** 0.5
-    lhs18_est, lhs18_err = lhs18_from_pair_probs(*(probs[k] for k in EQ7_PROBS))
+    # lhs18 = 1 - 4 * margin7; both nan when EQ7 is undefined
+    lhs18_est = 1.0 - 4.0 * eq7.margin
+    lhs18_err = 4.0 * eq7.stderr_margin if eq7.defined else float("nan")
 
     if structured:
         lines = [
@@ -188,11 +189,11 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
             kv_line("result.same_setting_agreement", agree / same if same else float("nan")),
         ]
         for (x, y), est in expectations.items():
-            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est, est.value)
+            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est)
         for key, prob in probs.items():
-            lines += _estimate_lines(f"estimate.P.{_prob_key(*key)}", prob, prob.estimate)
+            lines += _estimate_lines(f"estimate.P.{_prob_key(*key)}", prob)
         lines += [
-            kv_line("derived.lhs16.value", lhs16_est),
+            kv_line("derived.lhs16.value", eq10.lhs),
             kv_line("derived.lhs16.stderr", lhs16_err),
             kv_line("derived.lhs18.value", lhs18_est),
             kv_line("derived.lhs18.stderr", lhs18_err),
@@ -227,12 +228,12 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
     ]
     lines += ["", "pair probability estimates:"]
     lines += [
-        _estimate_row(f"P({_prob_key(*key, sep=',')})", f"{prob.estimate:.6f}", prob)
+        _estimate_row(f"P({_prob_key(*key, sep=',')})", f"{prob.value:.6f}", prob)
         for key, prob in probs.items()
     ]
     lines += [
         "",
-        f"derived lhs16 = {lhs16_est:+.6f} +/- {lhs16_err:.6f}",
+        f"derived lhs16 = {eq10.lhs:+.6f} +/- {lhs16_err:.6f}",
         f"derived lhs18 = {lhs18_est:+.6f} +/- {lhs18_err:.6f}",
         "",
         "inequalities:",
@@ -259,7 +260,7 @@ def _build_two_series_report(config, plus, minus, structured) -> str:
             kv_line("result.series_minus_runs", minus.table.total_runs),
         ]
         for (x, y), est in estimates.items():
-            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est, est.value)
+            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est)
         lines.append(kv_line("derived.lhs16.value", eq10.lhs))  # nan when undefined
         lines += _inequality_lines([eq10], structured=True)
         return _structured("simulate", config, lines)
@@ -289,13 +290,13 @@ def build_optimize_report(config: ExperimentConfig, settings: SearchConfig, use_
     grid_value = grid_oracle(kind, settings.grid_resolution)
     reference_value = objective(kind, reference_configuration(kind))
     discrepancy = result.value < grid_value - 1e-3
-    directions = result.directions()
+    directions = result.configuration.directions()
 
     if config.report_format == "structured":
         lines = [
             kv_line("objective", kind),
-            kv_line("search.n_starts", result.n_starts),
-            kv_line("search.seed", result.seed),
+            kv_line("search.n_starts", settings.n_starts),
+            kv_line("search.seed", settings.seed),
             kv_line("search.step_tolerance", settings.step_tolerance),
             kv_line("search.max_iterations", settings.max_iterations),
             kv_line("search.reference_start", use_reference_start),
@@ -322,7 +323,7 @@ def build_optimize_report(config: ExperimentConfig, settings: SearchConfig, use_
 
     lines = [
         f"violation search for {kind}",
-        f"multi-start ascent: {result.n_starts} starts, seed {result.seed}"
+        f"multi-start ascent: {settings.n_starts} starts, seed {settings.seed}"
         + (", first start at the reference configuration" if use_reference_start else ""),
         f"  best value      = {result.value:.12f}",
         f"  gradient norm   = {result.gradient_norm:.3e}",

@@ -129,29 +129,9 @@ class RunCountTable:
 
 
 @dataclass(frozen=True)
-class PairProbability:
-    """Estimate of P(x^a, y^b) conditional on the ordered setting pair."""
-
-    estimate: float
-    stderr: float
-    n_conditioning: int
-    n_cell: int = 0
-
-    @property
-    def defined(self) -> bool:
-        return self.n_conditioning > 0
-
-    @property
-    def low_stats(self) -> bool:
-        return self.defined and self.n_cell < 10
-
-
-UNDEFINED_PAIR_PROB = PairProbability(estimate=math.nan, stderr=math.nan, n_conditioning=0)
-
-
-@dataclass(frozen=True)
-class ExpectationEstimate:
-    """Estimate of E(x, y) from the four outcome-pair probabilities."""
+class Estimate:
+    """An estimated pair probability or expectation with its standard error
+    and the number of runs it is conditioned on."""
 
     value: float
     stderr: float
@@ -163,7 +143,7 @@ class ExpectationEstimate:
         return self.n_conditioning > 0
 
 
-UNDEFINED_EXPECTATION = ExpectationEstimate(value=math.nan, stderr=math.nan, n_conditioning=0)
+UNDEFINED_ESTIMATE = Estimate(value=math.nan, stderr=math.nan, n_conditioning=0)
 
 
 @dataclass(frozen=True)
@@ -202,6 +182,9 @@ class ProtocolConfig:
             raise ConfigError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        # a chunk takes about 22 bytes per run while it is drawn: bound it
+        if self.chunk_size > 2**22:
+            raise ConfigError(f"chunk_size must be <= {2**22}, got {self.chunk_size}")
         if self.model is Model.QUANTUM and self.state is None:
             raise ConfigError("quantum model requires an initial state")
         if self.model is Model.LHV:
@@ -393,36 +376,33 @@ def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleRe
 
 def estimate_pair_prob(
     table: RunCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
-) -> PairProbability:
+) -> Estimate:
     """P(x^sx, y^sy) with binomial standard error, conditioned on the pair (x, y)."""
     n = table.pair_total(x, y)
     if n == 0:
-        return UNDEFINED_PAIR_PROB
+        return UNDEFINED_ESTIMATE
     k = table.count(x, sign_x, y, sign_y)
     p = k / n
-    return PairProbability(
-        estimate=p, stderr=math.sqrt(p * (1.0 - p) / n), n_conditioning=n, n_cell=k
-    )
+    stderr = math.sqrt(p * (1.0 - p) / n)
+    return Estimate(value=p, stderr=stderr, n_conditioning=n, low_stats=k < 10)
 
 
-def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> ExpectationEstimate:
+def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> Estimate:
     """E(x, y) as the signed sum of the four outcome-pair probabilities."""
     n = table.pair_total(x, y)
     if n == 0:
-        return UNDEFINED_EXPECTATION
+        return UNDEFINED_ESTIMATE
     x, y = Setting(x), Setting(y)
     block = table.counts[x, y]
     value = float(block[0, 0] + block[1, 1] - block[0, 1] - block[1, 0]) / n
     # multinomial with +/-1 scores: var = (1 - E^2)/n
     stderr = math.sqrt(max(0.0, 1.0 - value * value) / n)
-    return ExpectationEstimate(
-        value=value, stderr=stderr, n_conditioning=n, low_stats=bool(block.min() < 10)
-    )
+    return Estimate(value=value, stderr=stderr, n_conditioning=n, low_stats=bool(block.min() < 10))
 
 
 def two_series_estimate(
     table_plus: RunCountTable, table_minus: RunCountTable, x: Setting, y: Setting
-) -> ExpectationEstimate:
+) -> Estimate:
     """E(x, y) from two separate series.
 
     The plus series contributes P(x+, y+) - P(x+, y-) using only runs whose
@@ -434,7 +414,7 @@ def two_series_estimate(
     n_p = table_plus.pair_total(x, y)
     n_m = table_minus.pair_total(x, y)
     if n_p == 0 or n_m == 0:
-        return UNDEFINED_EXPECTATION
+        return UNDEFINED_ESTIMATE
     k_pp = table_plus.count(x, Outcome.PLUS, y, Outcome.PLUS)
     k_pm = table_plus.count(x, Outcome.PLUS, y, Outcome.MINUS)
     k_mm = table_minus.count(x, Outcome.MINUS, y, Outcome.MINUS)
@@ -448,7 +428,7 @@ def two_series_estimate(
 
     d_plus, var_plus = half(k_pp, k_pm, n_p)
     d_minus, var_minus = half(k_mm, k_mp, n_m)
-    return ExpectationEstimate(
+    return Estimate(
         value=d_plus + d_minus,
         stderr=math.sqrt(var_plus + var_minus),
         n_conditioning=n_p + n_m,

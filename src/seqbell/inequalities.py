@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import PairProbability, RunCountTable, estimate_expectation, estimate_pair_prob
+from .engine import Estimate, RunCountTable, estimate_expectation, estimate_pair_prob
 from .lhv import HiddenCountTable, Setting, check_count_inequality, hidden_marginal
 from .qubit import Direction, Outcome, PureState, born_prob, dot
 from .reporting import DEFAULT_SIGMA, InequalityReport, undefined_report
@@ -107,9 +107,9 @@ def eval_eq6(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA) -> In
 
 def _prob_triplet_report(
     inequality_id: str,
-    lhs_prob: PairProbability,
-    rhs_prob_1: PairProbability,
-    rhs_prob_2: PairProbability,
+    lhs_prob: Estimate,
+    rhs_prob_1: Estimate,
+    rhs_prob_2: Estimate,
     sigma_threshold: float,
 ) -> InequalityReport:
     if not (lhs_prob.defined and rhs_prob_1.defined and rhs_prob_2.defined):
@@ -117,17 +117,17 @@ def _prob_triplet_report(
     stderr = math.sqrt(lhs_prob.stderr**2 + rhs_prob_1.stderr**2 + rhs_prob_2.stderr**2)
     return InequalityReport(
         inequality_id,
-        lhs=lhs_prob.estimate,
-        rhs=rhs_prob_1.estimate + rhs_prob_2.estimate,
+        lhs=lhs_prob.value,
+        rhs=rhs_prob_1.value + rhs_prob_2.value,
         stderr_margin=stderr,
         sigma_threshold=sigma_threshold,
     )
 
 
 def eval_eq7(
-    p_ac: PairProbability,
-    p_ab: PairProbability,
-    p_bc: PairProbability,
+    p_ac: Estimate,
+    p_ab: Estimate,
+    p_bc: Estimate,
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a+,c-) <= P(a+,b-) + P(b+,c-) on estimated probabilities."""
@@ -135,9 +135,9 @@ def eval_eq7(
 
 
 def eval_eq8(
-    p_ac: PairProbability,
-    p_ab: PairProbability,
-    p_bc: PairProbability,
+    p_ac: Estimate,
+    p_ab: Estimate,
+    p_bc: Estimate,
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a-,c+) <= P(a-,b+) + P(b-,c+) on estimated probabilities."""
@@ -171,18 +171,6 @@ def evaluate_table(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA)
         eval_eq10(*expectations.values(), sigma_threshold),
     ]
     return expectations, probs, reports
-
-
-def lhs18_from_pair_probs(
-    p_ac: PairProbability, p_ab: PairProbability, p_bc: PairProbability
-) -> tuple[float, float]:
-    """Reconstruct lhs18 and its standard error from the three EQ7 probabilities,
-    via the identity lhs18 = 1 - 4 (P(a+,b-) + P(b+,c-) - P(a+,c-))."""
-    if not (p_ac.defined and p_ab.defined and p_bc.defined):
-        return math.nan, math.nan
-    value = 1.0 - 4.0 * (p_ab.estimate + p_bc.estimate - p_ac.estimate)
-    stderr = 4.0 * math.sqrt(p_ac.stderr**2 + p_ab.stderr**2 + p_bc.stderr**2)
-    return value, stderr
 
 
 @dataclass(frozen=True)

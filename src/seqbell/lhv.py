@@ -174,9 +174,6 @@ class TripleDistribution:
     def as_mapping(self) -> dict[str, float]:
         return {t.label(): float(self.weights[t.index]) for t in ALL_TRIPLES}
 
-    def probability(self, triple: HiddenTriple) -> float:
-        return float(self.weights[triple.index])
-
     def condition(self, setting: Setting, outcome: Outcome) -> "TripleDistribution":
         """Distribution over triples whose component at setting equals outcome."""
         keep = TRIPLE_COMPONENTS[:, Setting(setting)] == int(outcome)

@@ -90,26 +90,15 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class LocalSearchResult:
+class SearchResult:
+    """One local search: its final configuration and value, and the value
+    after every accepted step."""
+
     configuration: TripleConfiguration
     value: float
     gradient_norm: float
     converged: bool
     trajectory: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    objective: str
-    configuration: TripleConfiguration
-    value: float
-    gradient_norm: float
-    converged: bool
-    n_starts: int
-    seed: int
-
-    def directions(self) -> tuple[Direction, Direction, Direction]:
-        return self.configuration.directions()
 
 
 def objective(kind: str, config: TripleConfiguration) -> float:
@@ -189,7 +178,7 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 
 def local_search(
     search: SearchConfig, start: TripleConfiguration, rng: np.random.Generator
-) -> LocalSearchResult:
+) -> SearchResult:
     """Backtracking gradient ascent on search.objective from one starting
     configuration.
 
@@ -223,7 +212,7 @@ def local_search(
             converged = True
             break
     final = TripleConfiguration.from_array(x)
-    return LocalSearchResult(
+    return SearchResult(
         configuration=final,
         value=f,
         gradient_norm=float(np.linalg.norm(gradient(kind, final))),
@@ -233,13 +222,13 @@ def local_search(
 
 
 def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -> SearchResult:
-    """Best local-search result over n_starts random starts.
+    """The best of n_starts local searches from random starts.
 
     When an initial configuration is supplied it replaces the first random
     start.  Ties on value break by lexicographically smallest angles, so
     the reduction over starts is order independent.
     """
-    best: LocalSearchResult | None = None
+    best: SearchResult | None = None
     for start_index in range(search.n_starts):
         rng = np.random.default_rng(
             np.random.SeedSequence(search.seed, spawn_key=(start_index,))
@@ -258,15 +247,7 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
             )
         ):
             best = result
-    return SearchResult(
-        objective=search.objective,
-        configuration=best.configuration,
-        value=best.value,
-        gradient_norm=best.gradient_norm,
-        converged=best.converged,
-        n_starts=search.n_starts,
-        seed=search.seed,
-    )
+    return best
 
 
 def check_grid_resolution(resolution: float) -> None:

@@ -192,12 +192,12 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
                 )
                 sigma = math.sqrt(true * (1 - true) / estimate.n_conditioning)
                 if sigma == 0.0:
-                    if estimate.estimate != true:
+                    if estimate.value != true:
                         return CheckResult(
                             "quantum_consistency", False, f"exact cell mismatch at ({x}, {y})"
                         )
                     continue
-                worst = max(worst, abs(estimate.estimate - true) / sigma)
+                worst = max(worst, abs(estimate.value - true) / sigma)
     return CheckResult("quantum_consistency", worst <= 4.0, f"worst deviation {worst:.2f} sigma")
 
 

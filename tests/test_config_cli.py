@@ -108,6 +108,7 @@ class TestParse:
             "optimizer.max_iterations = 0",
             "optimizer.step_tolerance = 0",
             "optimizer.grid_resolution = 0.001",
+            "chunk_size = 4194305",
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)

@@ -245,7 +245,10 @@ class TestCellLaw:
         dist = TripleDistribution([0, 0, 0, 0, 1, 1, 1, 1])  # all a- triples
         empty_prep = lhv_config(dist=dist, mode=Mode.PREPARED)
         negative = replace(empty_prep, mode=Mode.FREE, weights=(-1.0,) + (1.0,) * 7)
-        for config in (empty_prep, negative, replace(negative, weights=(0.0,) * 8)):
+        # chunk_size is capped at 2**22 runs; no run starts here
+        big_chunk = quantum_config(chunk_size=2**22 + 1)
+        replace(big_chunk, chunk_size=2**22).validate()
+        for config in (empty_prep, negative, replace(negative, weights=(0.0,) * 8), big_chunk):
             for call in (cell_law, run_ensemble):
                 with pytest.raises(ConfigError):
                     call(config)
@@ -403,7 +406,7 @@ class TestEstimators:
         counts[A, B, 0, 0] = 500
         table = RunCountTable(counts)
         prob = estimate_pair_prob(table, A, PLUS, B, PLUS)
-        assert prob.estimate == 1.0 and prob.stderr == 0.0 and prob.defined
+        assert prob.value == 1.0 and prob.stderr == 0.0 and prob.defined
 
     def test_undefined_without_conditioning_runs(self):
         table = RunCountTable.zero()
@@ -422,7 +425,7 @@ class TestEstimators:
         dist = TripleDistribution.point_mass(HiddenTriple.from_label("a+b-c+"))
         result = run_ensemble(lhv_config(dist=dist, n_runs=20000, seed=3))
         prob = estimate_pair_prob(result.table, A, PLUS, B, MINUS)
-        assert prob.estimate == 1.0 and prob.stderr == 0.0
+        assert prob.value == 1.0 and prob.stderr == 0.0
 
     def test_same_setting_expectation_exact_one(self):
         result = run_ensemble(quantum_config(n_runs=30000, seed=4))
@@ -440,7 +443,7 @@ class TestEstimators:
         born = 0.5 * (1 + float(bloch_vector(psi) @ a.as_array()))
         p_true = born * (1 - dot(a, b)) / 2
         sigma = math.sqrt(p_true * (1 - p_true) / p_hat.n_conditioning)
-        assert abs(p_hat.estimate - p_true) < 4 * sigma + 1e-9
+        assert abs(p_hat.value - p_true) < 4 * sigma + 1e-9
 
 
 class TestTwoSeries:

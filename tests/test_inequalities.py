@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from seqbell.engine import (
+    UNDEFINED_ESTIMATE,
+    Estimate,
     Mode,
     Model,
-    PairProbability,
     ProtocolConfig,
     RunCountTable,
     run_ensemble,
@@ -23,7 +24,6 @@ from seqbell.inequalities import (
     eval_eq10,
     lhs16,
     lhs18,
-    lhs18_from_pair_probs,
     quantum_expectation,
     quantum_pair_prob,
 )
@@ -68,7 +68,7 @@ def eq18_directions():
 
 
 def exact_prob(p):
-    return PairProbability(estimate=p, stderr=0.0, n_conditioning=1, n_cell=1000)
+    return Estimate(value=p, stderr=0.0, n_conditioning=1)
 
 
 class TestQuantumClosedForms:
@@ -232,9 +232,7 @@ class TestEq7Eq8:
         assert report.margin == pytest.approx(0.3, abs=1e-12)
 
     def test_undefined_input_propagates(self):
-        from seqbell.engine import UNDEFINED_PAIR_PROB
-
-        report = eval_eq7(UNDEFINED_PAIR_PROB, exact_prob(0.1), exact_prob(0.1))
+        report = eval_eq7(UNDEFINED_ESTIMATE, exact_prob(0.1), exact_prob(0.1))
         assert not report.defined and not report.violated
 
     def test_lhs18_reconstruction(self):
@@ -243,9 +241,10 @@ class TestEq7Eq8:
         p_ac = exact_prob(quantum_pair_prob(psi, a, PLUS, c, MINUS))
         p_ab = exact_prob(quantum_pair_prob(psi, a, PLUS, b, MINUS))
         p_bc = exact_prob(quantum_pair_prob(psi, b, PLUS, c, MINUS))
-        value, stderr = lhs18_from_pair_probs(p_ac, p_ab, p_bc)
-        assert value == pytest.approx(SQRT2 + 0.5, abs=1e-12)
-        assert stderr == 0.0
+        # lhs18 = 1 - 4 * margin7, with four times the margin's stderr
+        report = eval_eq7(p_ac, p_ab, p_bc)
+        assert 1.0 - 4.0 * report.margin == pytest.approx(SQRT2 + 0.5, abs=1e-12)
+        assert 4.0 * report.stderr_margin == 0.0
 
 
 class TestEq10:
@@ -278,9 +277,7 @@ class TestEq10:
 
 
 def estimate_from_value(value):
-    from seqbell.engine import ExpectationEstimate
-
-    return ExpectationEstimate(value=value, stderr=0.0, n_conditioning=1)
+    return Estimate(value=value, stderr=0.0, n_conditioning=1)
 
 
 class TestEq5Ratio:
