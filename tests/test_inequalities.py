@@ -67,8 +67,8 @@ def eq18_directions():
     return a, b, c
 
 
-def exact_prob(p):
-    return Estimate(value=p, stderr=0.0, n_conditioning=1)
+def exact_estimate(value):
+    return Estimate(value=value, stderr=0.0, n_conditioning=1)
 
 
 class TestQuantumClosedForms:
@@ -203,9 +203,9 @@ class TestEq7Eq8:
         # prep |a+> at the EQ18 configuration: lhs 1/2, rhs just above 0.27
         a, b, c = eq18_directions()
         psi = state_from_bloch(a.as_array())
-        p_ac = exact_prob(quantum_pair_prob(psi, a, PLUS, c, MINUS))
-        p_ab = exact_prob(quantum_pair_prob(psi, a, PLUS, b, MINUS))
-        p_bc = exact_prob(quantum_pair_prob(psi, b, PLUS, c, MINUS))
+        p_ac = exact_estimate(quantum_pair_prob(psi, a, PLUS, c, MINUS))
+        p_ab = exact_estimate(quantum_pair_prob(psi, a, PLUS, b, MINUS))
+        p_bc = exact_estimate(quantum_pair_prob(psi, b, PLUS, c, MINUS))
         report = eval_eq7(p_ac, p_ab, p_bc)
         assert report.lhs == pytest.approx(0.5, abs=1e-12)
         assert report.rhs == pytest.approx(
@@ -216,31 +216,31 @@ class TestEq7Eq8:
     def test_lhv_exact_probabilities_satisfied(self, rng):
         for _ in range(50):
             dist = TripleDistribution(rng.random(8))
-            p_ac = exact_prob(lhv_pair_prob(dist, A, PLUS, C, MINUS))
-            p_ab = exact_prob(lhv_pair_prob(dist, A, PLUS, B, MINUS))
-            p_bc = exact_prob(lhv_pair_prob(dist, B, PLUS, C, MINUS))
+            p_ac = exact_estimate(lhv_pair_prob(dist, A, PLUS, C, MINUS))
+            p_ab = exact_estimate(lhv_pair_prob(dist, A, PLUS, B, MINUS))
+            p_bc = exact_estimate(lhv_pair_prob(dist, B, PLUS, C, MINUS))
             assert not eval_eq7(p_ac, p_ab, p_bc).violated
-            q_ac = exact_prob(lhv_pair_prob(dist, A, MINUS, C, PLUS))
-            q_ab = exact_prob(lhv_pair_prob(dist, A, MINUS, B, PLUS))
-            q_bc = exact_prob(lhv_pair_prob(dist, B, MINUS, C, PLUS))
+            q_ac = exact_estimate(lhv_pair_prob(dist, A, MINUS, C, PLUS))
+            q_ab = exact_estimate(lhv_pair_prob(dist, A, MINUS, B, PLUS))
+            q_bc = exact_estimate(lhv_pair_prob(dist, B, MINUS, C, PLUS))
             assert not eval_eq8(q_ac, q_ab, q_bc).violated
 
     def test_equal_probabilities_margin(self):
-        p = exact_prob(0.3)
+        p = exact_estimate(0.3)
         report = eval_eq7(p, p, p)
         assert not report.violated
         assert report.margin == pytest.approx(0.3, abs=1e-12)
 
     def test_undefined_input_propagates(self):
-        report = eval_eq7(UNDEFINED_ESTIMATE, exact_prob(0.1), exact_prob(0.1))
+        report = eval_eq7(UNDEFINED_ESTIMATE, exact_estimate(0.1), exact_estimate(0.1))
         assert not report.defined and not report.violated
 
     def test_lhs18_reconstruction(self):
         a, b, c = eq18_directions()
         psi = state_from_bloch(a.as_array())
-        p_ac = exact_prob(quantum_pair_prob(psi, a, PLUS, c, MINUS))
-        p_ab = exact_prob(quantum_pair_prob(psi, a, PLUS, b, MINUS))
-        p_bc = exact_prob(quantum_pair_prob(psi, b, PLUS, c, MINUS))
+        p_ac = exact_estimate(quantum_pair_prob(psi, a, PLUS, c, MINUS))
+        p_ab = exact_estimate(quantum_pair_prob(psi, a, PLUS, b, MINUS))
+        p_bc = exact_estimate(quantum_pair_prob(psi, b, PLUS, c, MINUS))
         # lhs18 = 1 - 4 * margin7, with four times the margin's stderr
         report = eval_eq7(p_ac, p_ab, p_bc)
         assert 1.0 - 4.0 * report.margin == pytest.approx(SQRT2 + 0.5, abs=1e-12)
@@ -250,21 +250,21 @@ class TestEq7Eq8:
 class TestEq10:
     def test_quantum_reference_violation(self):
         a, b, c = eq16_directions()
-        exact = lambda x, y: estimate_from_value(dot(x, y))
+        exact = lambda x, y: exact_estimate(dot(x, y))
         report = eval_eq10(exact(a, b), exact(b, c), exact(a, c))
         assert report.lhs == pytest.approx(SQRT2, abs=1e-12)
         assert report.violated
 
     def test_boundary_not_violated(self):
         report = eval_eq10(
-            estimate_from_value(1.0), estimate_from_value(1.0), estimate_from_value(1.0)
+            exact_estimate(1.0), exact_estimate(1.0), exact_estimate(1.0)
         )
         assert report.lhs == 1.0 and not report.violated
 
     def test_every_deterministic_triple_satisfies(self):
         for t in ALL_TRIPLES:
             dist = TripleDistribution.point_mass(t)
-            e = lambda x, y: estimate_from_value(lhv_expectation(dist, x, y))
+            e = lambda x, y: exact_estimate(lhv_expectation(dist, x, y))
             report = eval_eq10(e(A, B), e(B, C), e(A, C))
             assert report.lhs in (1.0, -3.0)
             assert not report.violated
@@ -272,12 +272,8 @@ class TestEq10:
     def test_mixtures_satisfy_by_linearity(self, rng):
         for _ in range(100):
             dist = TripleDistribution(rng.random(8))
-            e = lambda x, y: estimate_from_value(lhv_expectation(dist, x, y))
+            e = lambda x, y: exact_estimate(lhv_expectation(dist, x, y))
             assert not eval_eq10(e(A, B), e(B, C), e(A, C)).violated
-
-
-def estimate_from_value(value):
-    return Estimate(value=value, stderr=0.0, n_conditioning=1)
 
 
 class TestEq5Ratio:
