@@ -17,6 +17,7 @@ chunk at a time.  The per-chunk samplers are fully vectorized.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -182,7 +183,7 @@ class ProtocolConfig:
             raise ConfigError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        # a chunk takes about 22 bytes per run while it is drawn: bound it
+        # a chunk takes about 12 bytes per run while it is drawn: bound it
         if self.chunk_size > 2**22:
             raise ConfigError(f"chunk_size must be <= {2**22}, got {self.chunk_size}")
         if self.model is Model.QUANTUM and self.state is None:
@@ -248,10 +249,30 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     return np.array(law).reshape(3, 3, 2, 2)
 
 
-# Both samplers cast the settings to int8 as soon as they are drawn: with
-# wider per-run arrays the allocator trims and re-faults the freed chunk
-# temporaries on every chunk (serial LHV prepared ensemble of 10^7 runs on a
-# 2-CPU host: 95k minor faults and 0.41 s, against 34k and 0.34 s).
+# The samplers return each run's cell index directly, computed in place on
+# int8 buffers: cell = 4 * (3 * first + second) + 2 * minus1 + minus2, where
+# a minus bit is set when that outcome is -1.  They draw the same values in
+# the same order as the explicit formulation the tests keep as their
+# reference, so every count and run log is the same bit for bit.
+#
+# No float64 or int64 temporary of a whole chunk lives next to another one:
+# settings are cast to int8 as soon as they are drawn, the second uniforms
+# reuse the first ones' buffer, and the thresholds are gathered in blocks of
+# 64 KB.  Otherwise the allocator trims and re-faults the freed temporaries
+# on every chunk (serial quantum free ensemble of 10^7 runs, 2-CPU host:
+# about 41k minor faults and 41 ns/run with whole-chunk gathers, none and
+# 33 ns/run with blocked ones).
+
+_GATHER_BLOCK = 8192
+
+
+def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """u >= thresholds[index], gathered one block of runs at a time."""
+    out = np.empty(len(u), dtype=bool)
+    for start in range(0, len(u), _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        np.greater_equal(u[block], thresholds[index[block]], out=out[block])
+    return out
 
 
 def _quantum_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
@@ -259,22 +280,44 @@ def _quantum_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
     # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
     p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
     p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+    # dtype=np.int8 here would take numpy's 8-bit bounded path: another stream
     first = rng.integers(0, 3, size=n).astype(np.int8)
     second = rng.integers(0, 3, size=n).astype(np.int8)
-    o1 = np.where(rng.random(n) < p_first[first], np.int8(1), np.int8(-1))
-    row = (o1 < 0) * np.int8(9) + first * 3 + second
-    o2 = np.where(rng.random(n) < p_second[row], np.int8(1), np.int8(-1))
-    return first, second, o1, o2, None
+    u = rng.random(n)
+    minus1 = _at_least(u, p_first, first)
+    pair = first
+    pair *= 3
+    pair += second
+    row = np.multiply(minus1, np.int8(9), out=second)
+    row += pair
+    rng.random(out=u)
+    minus2 = _at_least(u, p_second, row)
+    cell = pair
+    cell *= 2
+    cell += minus1
+    cell *= 2
+    cell += minus2
+    return cell, None
+
+
+# the cell of each (reality, first setting, second setting), at t * 9 + 3 * x + y
+_LHV_CELLS = np.array(
+    [
+        4 * (3 * x + y) + 2 * (TRIPLE_COMPONENTS[t, x] < 0) + (TRIPLE_COMPONENTS[t, y] < 0)
+        for t, x, y in itertools.product(range(8), SETTINGS, SETTINGS)
+    ],
+    dtype=np.int8,
+)
 
 
 def _lhv_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
-    dist = _effective_dist(config)
-    triples = sample_triple_indices(dist, n, rng)
-    first = rng.integers(0, 3, size=n).astype(np.int8)
+    triples = sample_triple_indices(_effective_dist(config), n, rng)
+    key = rng.integers(0, 3, size=n).astype(np.int8)
     second = rng.integers(0, 3, size=n).astype(np.int8)
-    o1 = TRIPLE_COMPONENTS[triples, first]
-    o2 = TRIPLE_COMPONENTS[triples, second]
-    return first, second, o1, o2, triples
+    key *= 3
+    key += second
+    key += np.multiply(triples, np.int8(9), out=second)
+    return _LHV_CELLS[key], triples
 
 
 def _chunk_cells(config: ProtocolConfig, series: int, chunk_index: int, size: int):
@@ -282,9 +325,7 @@ def _chunk_cells(config: ProtocolConfig, series: int, chunk_index: int, size: in
     cells of `_CELLS` and, for the lhv model, its reality index."""
     rng = _chunk_rng(config.seed, series, chunk_index)
     sampler = _quantum_chunk if config.model is Model.QUANTUM else _lhv_chunk
-    first, second, o1, o2, triples = sampler(config, size, rng)
-    cell = (first * 3 + second) * 4 + (o1 < 0) * np.int8(2) + (o2 < 0)
-    return cell, triples
+    return sampler(config, size, rng)
 
 
 def _run_chunk(args):
@@ -293,9 +334,13 @@ def _run_chunk(args):
     return np.bincount(cell, minlength=36), hidden
 
 
-def _chunk_plan(n_runs: int, chunk_size: int) -> list[int]:
+def _chunk_plan(n_runs: int, chunk_size: int):
+    """Yield the run count of each chunk in turn: the plan is never built,
+    whatever n_runs is."""
     full, rest = divmod(n_runs, chunk_size)
-    return [chunk_size] * full + ([rest] if rest else [])
+    yield from itertools.repeat(chunk_size, full)
+    if rest:
+        yield rest
 
 
 @dataclass
@@ -318,20 +363,38 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _generate_series(config: ProtocolConfig, series: int, workers: int) -> EnsembleResult:
-    sizes = _chunk_plan(config.n_runs, config.chunk_size)
-    args = [(config, series, i, size) for i, size in enumerate(sizes)]
-    # a fork pool starts every worker at once: never more than chunks or CPUs
-    pool_size = min(workers, len(args), _usable_cpus())
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outputs = list(pool.map(_run_chunk, args, chunksize=1))
-    else:
-        outputs = map(_run_chunk, args)
+# chunks submitted to the pool and not yet merged, per worker: enough to keep
+# every worker fed, few enough that memory does not grow with n_runs
+_IN_FLIGHT_PER_WORKER = 4
 
+
+def _chunk_tables(config: ProtocolConfig, series: int, workers: int):
+    """Yield the count tables of each chunk of one series, in chunk order."""
+    tasks = (
+        (config, series, i, size)
+        for i, size in enumerate(_chunk_plan(config.n_runs, config.chunk_size))
+    )
+    n_chunks = -(-config.n_runs // config.chunk_size)
+    # a fork pool starts every worker at once: never more than chunks or CPUs
+    pool_size = min(workers, n_chunks, _usable_cpus())
+    if pool_size <= 1:
+        yield from map(_run_chunk, tasks)
+        return
+    # Executor.map would submit every chunk up front: refill a bounded queue
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        pending = collections.deque()
+        for task in tasks:
+            if len(pending) == _IN_FLIGHT_PER_WORKER * pool_size:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_run_chunk, task))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _generate_series(config: ProtocolConfig, series: int, workers: int) -> EnsembleResult:
     counts = np.zeros(36, dtype=np.int64)
     hidden = np.zeros(8, dtype=np.int64) if config.model is Model.LHV else None
-    for chunk_counts, chunk_hidden in outputs:
+    for chunk_counts, chunk_hidden in _chunk_tables(config, series, workers):
         counts += chunk_counts
         if hidden is not None:
             hidden += chunk_hidden

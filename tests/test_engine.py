@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from seqbell.lhv import (
     ALL_TRIPLES,
     HiddenTriple,
     Setting,
+    TRIPLE_COMPONENTS,
     TripleDistribution,
     hidden_marginal,
     lhv_pair_prob,
@@ -79,6 +81,16 @@ def lhv_config(dist=None, n_runs=100, seed=1, mode=Mode.FREE, directions=XYZ, **
         weights=tuple((dist or TripleDistribution.uniform()).weights),
         **kw,
     )
+
+
+class DoneFuture:
+    """What a stand-in executor's submit returns: the result, already there."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
 
 
 class TestDrawSettingPair:
@@ -254,6 +266,79 @@ class TestCellLaw:
                     call(config)
 
 
+def reference_chunk_cells(config, series, chunk_index, size):
+    """The chunk samplers in their first, explicit formulation: +/-1 outcome
+    arrays from np.where or from reality components, a binary search for
+    the reality, then the cell arithmetic.  Same stream, same draw order."""
+    rng = engine._chunk_rng(config.seed, series, chunk_index)
+    prepared = config.mode is Mode.PREPARED
+    triples = None
+    if config.model is Model.QUANTUM:
+        dirs = np.array([d.as_array() for d in config.directions])
+        if prepared:
+            bloch = int(config.prep_sign) * config.directions[config.prep_setting].as_array()
+        else:
+            bloch = bloch_vector(config.state)
+        p_first = 0.5 * (1.0 + dirs @ bloch)
+        p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+        first = rng.integers(0, 3, size=size).astype(np.int8)
+        second = rng.integers(0, 3, size=size).astype(np.int8)
+        o1 = np.where(rng.random(size) < p_first[first], np.int8(1), np.int8(-1))
+        row = (o1 < 0) * np.int8(9) + first * 3 + second
+        o2 = np.where(rng.random(size) < p_second[row], np.int8(1), np.int8(-1))
+    else:
+        dist = config.dist
+        if prepared:
+            dist = dist.condition(config.prep_setting, config.prep_sign)
+        idx = np.searchsorted(dist._cum, rng.random(size), side="right")
+        triples = np.minimum(idx, 7).astype(np.int8)
+        first = rng.integers(0, 3, size=size).astype(np.int8)
+        second = rng.integers(0, 3, size=size).astype(np.int8)
+        o1 = TRIPLE_COMPONENTS[triples, first]
+        o2 = TRIPLE_COMPONENTS[triples, second]
+    cell = (first * 3 + second) * 4 + (o1 < 0) * np.int8(2) + (o2 < 0)
+    return cell, triples
+
+
+def _oracle_cases():
+    """Random directions, states and weights (some weights zero), free and
+    prepared, for both models."""
+    rng = np.random.default_rng(1010)
+    cases = []
+    for _ in range(3):
+        dirs = tuple(random_direction(rng) for _ in range(3))
+        psi = random_state(rng, random_direction(rng))
+        weights = rng.random(8) * (rng.random(8) < 0.7)
+        weights[rng.integers(8)] = rng.random() + 0.1
+        # prepare a readout that the weights support
+        setting = Setting(int(rng.integers(3)))
+        sign = Outcome(int(TRIPLE_COMPONENTS[int(np.argmax(weights)), setting]))
+        q_free = quantum_config(directions=dirs, state=psi)
+        l_free = lhv_config(dist=TripleDistribution(weights), directions=dirs)
+        for free in (q_free, l_free):
+            cases.append(free)
+            cases.append(replace(free, mode=Mode.PREPARED, prep_setting=setting, prep_sign=sign))
+    return cases
+
+
+class TestChunkKernels:
+    @pytest.mark.parametrize("config", _oracle_cases())
+    def test_match_reference_bit_for_bit(self, config):
+        for seed, series, chunk_index in ((0, 0, 0), (7, 1, 3), (2**64 - 1, 0, 152587)):
+            config = replace(config, seed=seed)
+            # the last size spans three blocks of the threshold gathers
+            for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
+                cell, triples = engine._chunk_cells(config, series, chunk_index, size)
+                ref_cell, ref_triples = reference_chunk_cells(config, series, chunk_index, size)
+                assert cell.dtype == ref_cell.dtype
+                assert cell.tobytes() == ref_cell.tobytes()
+                if ref_triples is None:
+                    assert triples is None
+                else:
+                    assert triples.dtype == ref_triples.dtype
+                    assert triples.tobytes() == ref_triples.tobytes()
+
+
 class TestRunEnsemble:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
@@ -292,7 +377,7 @@ class TestRunEnsemble:
         assert len(pickle.dumps(result)) < 4096
 
     def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
-        # a stand-in executor records the pool size and maps in this process
+        # a stand-in executor records the pool size and runs in this process
         sizes = []
 
         class FakePool:
@@ -305,8 +390,8 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args, chunksize=1):
-                return map(fn, args)
+            def submit(self, fn, *args):
+                return DoneFuture(fn(*args))
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
@@ -319,6 +404,53 @@ class TestRunEnsemble:
         run_ensemble(quantum_config(n_runs=500, chunk_size=1000), workers=64)
         # min(workers, chunks, CPUs); one worker or one chunk starts no pool
         assert sizes == [3, 2, 2]
+
+    def test_chunk_plan_is_never_built(self, monkeypatch):
+        # 10^10 runs are 152 588 default chunks: nothing may grow with that count
+        monkeypatch.setattr(engine, "_run_chunk", lambda task: (np.zeros(36, np.int64), None))
+        config = quantum_config(n_runs=10**10)
+        tracemalloc.start()
+        try:
+            run_ensemble(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_pool_keeps_few_chunks_in_flight(self, monkeypatch):
+        # a stand-in executor counts the submissions not yet collected
+        outstanding, most = [0], [0]
+
+        class Collected(DoneFuture):
+            def result(self):
+                outstanding[0] -= 1
+                return self.value
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                outstanding[0] += 1
+                most[0] = max(most[0], outstanding[0])
+                return Collected(fn(*args))
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        config = lhv_config(n_runs=3000, seed=31, chunk_size=10)
+        serial = run_ensemble(config)
+        pooled = run_ensemble(config, workers=2)
+        assert np.array_equal(pooled.table.counts, serial.table.counts)
+        assert np.array_equal(pooled.hidden.counts, serial.hidden.counts)
+        assert outstanding[0] == 0
+        # 300 chunks, never more than a few per worker outstanding
+        assert 2 <= most[0] <= 4 * 2
 
     def test_seed_determinism(self):
         config = quantum_config(n_runs=5000, seed=123)

@@ -88,6 +88,20 @@ class TestTripleDistribution:
         idx = sample_triple_indices(dist, 10000, rng)
         assert set(np.unique(idx)) <= {1, 7}
 
+    def test_draws_match_binary_search(self):
+        # the running sum of these normalized weights passes 1.0 before the
+        # last, zero, weight, whose edge is pinned to 1.0: the edges are then
+        # not sorted, and each draw must still be searchsorted's
+        w = np.random.default_rng(0).random(8)
+        w[7] = 0.0
+        dist = TripleDistribution(w)
+        assert dist._cum[6] > dist._cum[7] == 1.0
+        for seed in range(3):
+            u = np.random.default_rng(seed).random(10**5)
+            expected = np.minimum(np.searchsorted(dist._cum, u, side="right"), 7).astype(np.int8)
+            drawn = sample_triple_indices(dist, 10**5, np.random.default_rng(seed))
+            assert drawn.tobytes() == expected.tobytes()
+
     def test_normalization_and_validation(self):
         dist = TripleDistribution(np.full(8, 3.0))
         assert abs(dist.weights.sum() - 1.0) < 1e-12
