@@ -10,9 +10,10 @@ samplers are tested against.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i) and chunk tables merge by addition, so
-results are bit-identical for any worker count.  Only the count tables are
-kept: the run log regenerates each chunk's runs from its own stream, one
-chunk at a time.  The per-chunk samplers are fully vectorized.
+results are bit-identical for any worker count.  Chunks run on threads:
+the vectorized samplers spend their time in numpy, which releases the GIL.
+Only the count tables are kept: the run log regenerates each chunk's runs
+from its own stream, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import collections
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -171,7 +172,7 @@ class ProtocolConfig:
 
     @cached_property
     def dist(self) -> TripleDistribution:
-        """The normalized lhv weights; cached, and pickled with the config."""
+        """The normalized lhv weights, built once per config."""
         return TripleDistribution(self.weights)
 
     def validate(self) -> None:
@@ -249,11 +250,12 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     return np.array(law).reshape(3, 3, 2, 2)
 
 
-# The samplers return each run's cell index directly, computed in place on
-# int8 buffers: cell = 4 * (3 * first + second) + 2 * minus1 + minus2, where
-# a minus bit is set when that outcome is -1.  They draw the same values in
-# the same order as the explicit formulation the tests keep as their
-# reference, so every count and run log is the same bit for bit.
+# The samplers return each run's key, computed in place on int8 buffers.  A
+# quantum key is the run's cell, 4 * (3 * first + second) + 2 * minus1 +
+# minus2, where a minus bit is set when that outcome is -1; an lhv key also
+# carries the reality and maps to its cell through _LHV_CELLS.  They draw
+# the same values in the same order as the explicit formulation the tests
+# keep as their reference, so every count and run log is the same bit for bit.
 #
 # No float64 or int64 temporary of a whole chunk lives next to another one:
 # settings are cast to int8 as soon as they are drawn, the second uniforms
@@ -275,11 +277,7 @@ def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.nd
     return out
 
 
-def _quantum_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
-    dirs = np.array([d.as_array() for d in config.directions])
-    # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
-    p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
-    p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+def _quantum_chunk(p_first: np.ndarray, p_second: np.ndarray, n: int, rng: np.random.Generator):
     # dtype=np.int8 here would take numpy's 8-bit bounded path: another stream
     first = rng.integers(0, 3, size=n).astype(np.int8)
     second = rng.integers(0, 3, size=n).astype(np.int8)
@@ -297,10 +295,11 @@ def _quantum_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
     cell += minus1
     cell *= 2
     cell += minus2
-    return cell, None
+    return cell
 
 
-# the cell of each (reality, first setting, second setting), at t * 9 + 3 * x + y
+# the cell of each lhv run key t * 9 + 3 * x + y (reality, first and second
+# setting), and the exact 0/1 matrix folding a tally of the keys into cell counts
 _LHV_CELLS = np.array(
     [
         4 * (3 * x + y) + 2 * (TRIPLE_COMPONENTS[t, x] < 0) + (TRIPLE_COMPONENTS[t, y] < 0)
@@ -308,30 +307,44 @@ _LHV_CELLS = np.array(
     ],
     dtype=np.int8,
 )
+_LHV_FOLD = np.eye(36, dtype=np.int64)[_LHV_CELLS]
 
 
-def _lhv_chunk(config: ProtocolConfig, n: int, rng: np.random.Generator):
-    triples = sample_triple_indices(_effective_dist(config), n, rng)
+def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
+    triples = sample_triple_indices(dist, n, rng)
     key = rng.integers(0, 3, size=n).astype(np.int8)
     second = rng.integers(0, 3, size=n).astype(np.int8)
     key *= 3
     key += second
     key += np.multiply(triples, np.int8(9), out=second)
-    return _LHV_CELLS[key], triples
+    return key
+
+
+def _series_kernel(config: ProtocolConfig):
+    """One series' chunk kernel (n, rng) -> run keys, its invariants bound once."""
+    if config.model is Model.LHV:
+        return partial(_lhv_chunk, _effective_dist(config))
+    dirs = np.array([d.as_array() for d in config.directions])
+    # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
+    p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
+    p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+    return partial(_quantum_chunk, p_first, p_second)
 
 
 def _chunk_cells(config: ProtocolConfig, series: int, chunk_index: int, size: int):
     """Draw one chunk from its own stream: each run's index into the 36
     cells of `_CELLS` and, for the lhv model, its reality index."""
-    rng = _chunk_rng(config.seed, series, chunk_index)
-    sampler = _quantum_chunk if config.model is Model.QUANTUM else _lhv_chunk
-    return sampler(config, size, rng)
+    key = _series_kernel(config)(size, _chunk_rng(config.seed, series, chunk_index))
+    return (key, None) if config.model is Model.QUANTUM else (_LHV_CELLS[key], key // 9)
 
 
-def _run_chunk(args):
-    cell, triples = _chunk_cells(*args)
-    hidden = None if triples is None else np.bincount(triples, minlength=8)
-    return np.bincount(cell, minlength=36), hidden
+def _run_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
+    """One chunk's 36 cell counts and, for the lhv model, its 8 reality counts."""
+    key = kernel(size, _chunk_rng(config.seed, series, chunk_index))
+    if config.model is Model.QUANTUM:
+        return np.bincount(key, minlength=36), None
+    tally = np.bincount(key, minlength=72)
+    return tally @ _LHV_FOLD, tally.reshape(8, 9).sum(1)
 
 
 def _chunk_plan(n_runs: int, chunk_size: int):
@@ -370,34 +383,30 @@ _IN_FLIGHT_PER_WORKER = 4
 
 def _chunk_tables(config: ProtocolConfig, series: int, workers: int):
     """Yield the count tables of each chunk of one series, in chunk order."""
-    tasks = (
-        (config, series, i, size)
-        for i, size in enumerate(_chunk_plan(config.n_runs, config.chunk_size))
-    )
+    kernel, plan = _series_kernel(config), _chunk_plan(config.n_runs, config.chunk_size)
+    tasks = ((config, kernel, series, i, size) for i, size in enumerate(plan))
     n_chunks = -(-config.n_runs // config.chunk_size)
-    # a fork pool starts every worker at once: never more than chunks or CPUs
+    # more threads than chunks or CPUs would only wait
     pool_size = min(workers, n_chunks, _usable_cpus())
     if pool_size <= 1:
-        yield from map(_run_chunk, tasks)
+        yield from itertools.starmap(_run_chunk, tasks)
         return
     # Executor.map would submit every chunk up front: refill a bounded queue
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
         pending = collections.deque()
         for task in tasks:
             if len(pending) == _IN_FLIGHT_PER_WORKER * pool_size:
                 yield pending.popleft().result()
-            pending.append(pool.submit(_run_chunk, task))
+            pending.append(pool.submit(_run_chunk, *task))
         while pending:
             yield pending.popleft().result()
 
 
 def _generate_series(config: ProtocolConfig, series: int, workers: int) -> EnsembleResult:
-    counts = np.zeros(36, dtype=np.int64)
-    hidden = np.zeros(8, dtype=np.int64) if config.model is Model.LHV else None
+    counts, hidden = np.zeros(36, dtype=np.int64), None
     for chunk_counts, chunk_hidden in _chunk_tables(config, series, workers):
         counts += chunk_counts
-        if hidden is not None:
-            hidden += chunk_hidden
+        hidden = chunk_hidden if hidden is None else hidden + chunk_hidden
     return EnsembleResult(
         config=config,
         table=RunCountTable(counts.reshape(3, 3, 2, 2)),

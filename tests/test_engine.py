@@ -1,7 +1,12 @@
 import io
 import itertools
 import math
+import multiprocessing.process
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -338,6 +343,113 @@ class TestChunkKernels:
                     assert triples.dtype == ref_triples.dtype
                     assert triples.tobytes() == ref_triples.tobytes()
 
+    @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.LHV])
+    def test_lhv_fold_is_exact(self, config):
+        # the counts folded from one tally of the 72 run keys are the
+        # bincounts of the chunk's cells and realities
+        kernel = engine._series_kernel(config)
+        for series, chunk_index in ((0, 0), (1, 3)):
+            for size in (1, 7, 4099):
+                counts, hidden = engine._run_chunk(config, kernel, series, chunk_index, size)
+                cell, triples = engine._chunk_cells(config, series, chunk_index, size)
+                assert counts.dtype == hidden.dtype == np.int64
+                assert np.array_equal(counts, np.bincount(cell, minlength=36))
+                assert np.array_equal(hidden, np.bincount(triples, minlength=8))
+                assert counts.sum() == hidden.sum() == size
+
+
+def _assert_same_tables(results, reference):
+    for result, ref in zip(results, reference, strict=True):
+        assert np.array_equal(result.table.counts, ref.table.counts)
+        if ref.hidden is None:
+            assert result.hidden is None
+        else:
+            assert np.array_equal(result.hidden.counts, ref.hidden.counts)
+
+
+def _run_logs(results):
+    logs = []
+    for result in results:
+        buf = io.StringIO()
+        write_run_log(result, buf)
+        logs.append(buf.getvalue().encode())
+    return logs
+
+
+class TestThreadPool:
+    def test_starts_no_child_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(os, "fork", refuse, raising=False)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        free = lhv_config(n_runs=5000, seed=3, chunk_size=512)
+        two = quantum_config(mode=Mode.TWO_SERIES, n_runs=5000, seed=4, chunk_size=512)
+        serial = [run_ensemble(free), *run_two_series(two)]
+        threads = set()
+        run_chunk = engine._run_chunk
+
+        def recording(*task):
+            threads.add(threading.get_ident())
+            return run_chunk(*task)
+
+        monkeypatch.setattr(engine, "_run_chunk", recording)
+        pooled = [run_ensemble(free, workers=2), *run_two_series(two, workers=2)]
+        _assert_same_tables(pooled, serial)
+        assert threads - {threading.get_ident()}
+
+    def test_no_process_pool_module_imported(self):
+        code = (
+            "import sys, seqbell.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            quantum_config(n_runs=20000, seed=41, chunk_size=3000),
+            lhv_config(
+                dist=TripleDistribution([3, 1, 0, 2, 1, 0, 4, 1]),
+                mode=Mode.PREPARED,
+                prep_setting=B,
+                prep_sign=MINUS,
+                n_runs=20000,
+                seed=42,
+                chunk_size=3000,
+            ),
+            quantum_config(mode=Mode.TWO_SERIES, n_runs=20000, seed=43, chunk_size=3000),
+        ],
+        ids=["quantum-free", "lhv-prepared", "two-series"],
+    )
+    def test_real_threads_match_serial(self, monkeypatch, config):
+        # four real worker threads whatever the host's CPU count; 20000 runs
+        # leave a partial last chunk of 2000
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
+
+        def generate(workers):
+            if config.mode is Mode.TWO_SERIES:
+                return run_two_series(config, workers=workers)
+            return (run_ensemble(config, workers=workers),)
+
+        serial = generate(1)
+        serial_logs = _run_logs(serial)
+        # switch threads far more often than the default 5 ms
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                pooled = generate(4)
+                _assert_same_tables(pooled, serial)
+                assert _run_logs(pooled) == serial_logs
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestRunEnsemble:
     def test_rejects_zero_runs(self):
@@ -360,7 +472,7 @@ class TestRunEnsemble:
         eight = run_ensemble(config, workers=8)
         assert np.array_equal(one.table.counts, eight.table.counts)
         assert np.array_equal(one.hidden.counts, eight.hidden.counts)
-        # pool workers get the config by pickle: its weights arrive bit for bit
+        # configs stay picklable for library use: the weights survive bit for bit
         restored = pickle.loads(pickle.dumps(config))
         assert restored == config
         assert restored.dist.weights.tobytes() == config.dist.weights.tobytes()
@@ -393,7 +505,7 @@ class TestRunEnsemble:
             def submit(self, fn, *args):
                 return DoneFuture(fn(*args))
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", FakePool)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         five_chunks = quantum_config(n_runs=5000, seed=8, chunk_size=1000)
         serial = run_ensemble(five_chunks)
@@ -407,7 +519,7 @@ class TestRunEnsemble:
 
     def test_chunk_plan_is_never_built(self, monkeypatch):
         # 10^10 runs are 152 588 default chunks: nothing may grow with that count
-        monkeypatch.setattr(engine, "_run_chunk", lambda task: (np.zeros(36, np.int64), None))
+        monkeypatch.setattr(engine, "_run_chunk", lambda *task: (np.zeros(36, np.int64), None))
         config = quantum_config(n_runs=10**10)
         tracemalloc.start()
         try:
@@ -441,7 +553,7 @@ class TestRunEnsemble:
                 most[0] = max(most[0], outstanding[0])
                 return Collected(fn(*args))
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         config = lhv_config(n_runs=3000, seed=31, chunk_size=10)
         serial = run_ensemble(config)
