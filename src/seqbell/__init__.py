@@ -13,11 +13,9 @@ from .qubit import (
     Z_AXIS,
     bloch_vector,
     born_prob,
-    collapse,
     direction_from_spherical,
     dot,
     eigenstate,
-    measure,
     state_from_bloch,
 )
 from .lhv import (
@@ -29,7 +27,6 @@ from .lhv import (
     TripleDistribution,
     check_count_inequality,
     hidden_marginal,
-    hidden_marginals,
 )
 from .engine import (
     EnsembleResult,
@@ -52,7 +49,6 @@ from .inequalities import (
     eval_eq10,
     lhs16,
     lhs18,
-    quantum_expectation,
     quantum_pair_prob,
 )
 from .reporting import InequalityReport
@@ -85,7 +81,6 @@ __all__ = [
     "born_prob",
     "cell_law",
     "check_count_inequality",
-    "collapse",
     "direction_from_spherical",
     "dot",
     "eigenstate",
@@ -98,14 +93,11 @@ __all__ = [
     "eval_eq10",
     "grid_oracle",
     "hidden_marginal",
-    "hidden_marginals",
     "lhs16",
     "lhs18",
     "load_config",
     "maximize",
-    "measure",
     "parse_config",
-    "quantum_expectation",
     "quantum_pair_prob",
     "run_ensemble",
     "run_two_series",

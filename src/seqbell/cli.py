@@ -16,12 +16,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import REPORT_FORMATS, ExperimentConfig, apply_overrides, check_sigma, load_config
+from .config import REPORT_FORMATS, ExperimentConfig, apply_overrides, load_config, parse_config
 from .engine import (
     ConfigError,
     Mode,
     Model,
-    ProtocolConfig,
     cell_law,
     run_ensemble,
     run_two_series,
@@ -104,15 +103,15 @@ def _inequality_lines(reports, structured: bool) -> list[str]:
 # predict
 
 
-def _exact_pair_probs(protocol: ProtocolConfig, use_prep: bool) -> dict[tuple, float]:
+def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, float]:
     """The six inequality probabilities in exact closed form."""
-    law = cell_law(replace(protocol, mode=Mode.PREPARED if use_prep else Mode.FREE))
+    law = cell_law(replace(config, mode=Mode.PREPARED if use_prep else Mode.FREE))
     return {
         (x, sx, y, sy): float(law[x, y, int(sx < 0), int(sy < 0)]) for x, sx, y, sy in ALL_PROBS
     }
 
 
-def build_predict_report(config: ExperimentConfig, protocol: ProtocolConfig, use_prep: bool) -> str:
+def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
     a, b, c = config.directions
     sigma = config.sigma
     reports = [
@@ -120,7 +119,7 @@ def build_predict_report(config: ExperimentConfig, protocol: ProtocolConfig, use
         eq18_report(a, b, c, sigma),
         InequalityReport("EQ10", dot(a, b) + dot(b, c) - dot(a, c), 1.0, sigma_threshold=sigma),
     ]
-    probs = _exact_pair_probs(protocol, use_prep)
+    probs = _exact_pair_probs(config, use_prep)
     triplets = [
         InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
         for eq, (lhs, rhs1, rhs2) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS))
@@ -341,11 +340,9 @@ def build_optimize_report(config: ExperimentConfig, settings: SearchConfig, use_
 # entry points
 
 
-def _load(args):
-    """The config after flag overrides, and its validated run protocol."""
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    config = apply_overrides(
-        config,
+def _load(args) -> ExperimentConfig:
+    """The config file, or the defaults, with the flags laid over it; checked once."""
+    overrides = dict(
         seed=args.seed,
         n_runs=getattr(args, "runs", None),
         report_format=args.format,
@@ -353,8 +350,7 @@ def _load(args):
         out_dir=args.out,
         log_runs=getattr(args, "log_runs", None),
     )
-    check_sigma(config.sigma)
-    return config, config.to_protocol()
+    return load_config(args.config, **overrides) if args.config else parse_config(**overrides)
 
 
 def _make_out_dir(config: ExperimentConfig) -> Path | None:
@@ -376,9 +372,9 @@ def _write_outputs(out: Path, config: ExperimentConfig, text: str, results: dict
 
 
 def cmd_predict(args) -> int:
-    config, protocol = _load(args)
+    config = _load(args)
     out = _make_out_dir(config)
-    text = build_predict_report(config, protocol, use_prep=args.prep)
+    text = build_predict_report(config, use_prep=args.prep)
     sys.stdout.write(text)
     if out is not None:
         (out / "predict.txt").write_text(text, encoding="utf-8")
@@ -388,14 +384,14 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    config, protocol = _load(args)
+    config = _load(args)
     out = _make_out_dir(config)
     if config.mode is Mode.TWO_SERIES:
-        plus, minus = run_two_series(protocol, workers=args.workers)
+        plus, minus = run_two_series(config, workers=args.workers)
         text = build_simulate_report(config, plus, minus)
         results = {"_plus": plus, "_minus": minus}
     else:
-        result = run_ensemble(protocol, workers=args.workers)
+        result = run_ensemble(config, workers=args.workers)
         text = build_simulate_report(config, result)
         results = {"": result}
     sys.stdout.write(text)
@@ -405,7 +401,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config, _ = _load(args)
+    config = _load(args)
     settings = apply_overrides(
         config.optimizer or SearchConfig(),
         objective=args.objective,

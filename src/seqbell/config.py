@@ -27,7 +27,8 @@ _WEIGHT_LABELS = tuple(t.label() for t in ALL_TRIPLES)
 
 @dataclass(frozen=True)
 class ExperimentConfig(ProtocolConfig):
-    """A config file: the run protocol plus what only reports and the CLI read."""
+    """A config file: the run protocol plus what only reports and the CLI read.
+    Checked when built: the threshold first, then the protocol."""
 
     disturbance: Disturbance = Disturbance.NONE
     report_format: str = "tabular"
@@ -36,10 +37,13 @@ class ExperimentConfig(ProtocolConfig):
     log_runs: bool = False
     optimizer: SearchConfig | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"report.sigma must be finite and > 0, got {self.sigma!r}")
+        super().__post_init__()
+
     def to_protocol(self) -> ProtocolConfig:
-        config = ProtocolConfig(**{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)})
-        config.validate()
-        return config
+        return ProtocolConfig(**{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)})
 
     def protocol_lines(self) -> list[str]:
         """Canonical serialization of the physics-defining keys."""
@@ -100,13 +104,6 @@ class ExperimentConfig(ProtocolConfig):
     def digest(self) -> str:
         payload = "\n".join(self.protocol_lines()).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
-
-
-def check_sigma(sigma: float) -> float:
-    """The violation threshold, for config files and --sigma alike."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"report.sigma must be finite and > 0, got {sigma!r}")
-    return sigma
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -171,9 +168,11 @@ def _take_direction(entries, prefix, default):
     return default
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str = "", **overrides) -> ExperimentConfig:
+    """The config of a file's text; an empty text is the default config.
+    Overrides (the CLI flags) replace what the text sets; None leaves it."""
     entries = _parse_lines(text)
-    defaults = ExperimentConfig()
+    defaults = ExperimentConfig  # its class attributes are the field defaults
 
     def take_enum(key, enum_cls, default):
         if key not in entries:
@@ -240,7 +239,7 @@ def parse_config(text: str) -> ExperimentConfig:
     report_format = entries.pop("report.format", defaults.report_format)
     if report_format not in REPORT_FORMATS:
         raise ConfigError(f"report.format must be tabular or structured, got {report_format!r}")
-    sigma = check_sigma(_take_float(entries, "report.sigma", defaults.sigma))
+    sigma = _take_float(entries, "report.sigma", defaults.sigma)
 
     out_dir = entries.pop("output.dir", None)
     log_runs = False
@@ -269,7 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if entries:
         raise ConfigError(f"unknown config keys: {sorted(entries)}")
 
-    config = ExperimentConfig(
+    settings = dict(
         mode=mode,
         model=model,
         n_runs=n_runs,
@@ -289,18 +288,18 @@ def parse_config(text: str) -> ExperimentConfig:
         log_runs=log_runs,
         optimizer=optimizer,
     )
-    config.to_protocol()  # fail fast on semantic problems
-    return config
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
+    return ExperimentConfig(**settings)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), **overrides)
 
 
 def apply_overrides(config, **overrides):
-    """Apply CLI flag overrides to a config dataclass; None values leave it untouched.
-    Only a `SearchConfig` checks its values when built: a bad one is an optimizer error."""
+    """Apply CLI flag overrides to a `SearchConfig`; None values leave it untouched.
+    A bad value fails its check when the copy is built: an optimizer error."""
     changes = {k: v for k, v in overrides.items() if v is not None}
     try:
         return replace(config, **changes) if changes else config

@@ -110,9 +110,6 @@ class RunCountTable:
     def pair_total(self, x: Setting, y: Setting) -> int:
         return int(self.counts[Setting(x), Setting(y)].sum())
 
-    def __add__(self, other: "RunCountTable") -> "RunCountTable":
-        return RunCountTable(self.counts + other.counts)
-
     def same_setting_totals(self) -> tuple[int, int]:
         """(number of same-setting runs, number of those with equal outcomes)."""
         same = sum(self.pair_total(s, s) for s in SETTINGS)
@@ -150,8 +147,9 @@ UNDEFINED_ESTIMATE = Estimate(value=math.nan, stderr=math.nan, n_conditioning=0)
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything one ensemble needs: model, protocol, directions, seeding.
-    The defaults are the reference experiment, with EQ16 left-hand side sqrt(2)."""
+    """Everything one ensemble needs: model, protocol, directions, seeding;
+    checked when built.  The defaults are the reference experiment, with EQ16
+    left-hand side sqrt(2)."""
 
     mode: Mode = Mode.FREE
     model: Model = Model.QUANTUM
@@ -165,6 +163,9 @@ class ProtocolConfig:
     weights: tuple[float, ...] | None = None
     prep_setting: Setting = Setting.A
     prep_sign: Outcome = Outcome.PLUS
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def directions(self) -> tuple[Direction, Direction, Direction]:
@@ -233,7 +234,6 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     the conditioned weights (lhv); any other mode, including each series of
     two-series mode, from the configured state or weights.
     """
-    config.validate()
     if config.model is Model.LHV:
         dist = _effective_dist(config)
         law = [lhv_pair_prob(dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
@@ -331,16 +331,14 @@ def _series_kernel(config: ProtocolConfig):
     return partial(_quantum_chunk, p_first, p_second)
 
 
-def _chunk_cells(config: ProtocolConfig, series: int, chunk_index: int, size: int):
-    """Draw one chunk from its own stream: each run's index into the 36
-    cells of `_CELLS` and, for the lhv model, its reality index."""
-    key = _series_kernel(config)(size, _chunk_rng(config.seed, series, chunk_index))
-    return (key, None) if config.model is Model.QUANTUM else (_LHV_CELLS[key], key // 9)
+def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
+    """One chunk's run keys, drawn by its series' kernel from the chunk's own stream."""
+    return kernel(size, _chunk_rng(config.seed, series, chunk_index))
 
 
 def _run_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
     """One chunk's 36 cell counts and, for the lhv model, its 8 reality counts."""
-    key = kernel(size, _chunk_rng(config.seed, series, chunk_index))
+    key = _draw_chunk(config, kernel, series, chunk_index, size)
     if config.model is Model.QUANTUM:
         return np.bincount(key, minlength=36), None
     tally = np.bincount(key, minlength=72)
@@ -421,7 +419,6 @@ def run_ensemble(config: ProtocolConfig, workers: int = 1) -> EnsembleResult:
     Deterministic for a fixed (config, seed, chunk_size) regardless of the
     worker count.
     """
-    config.validate()
     if config.mode is Mode.TWO_SERIES:
         raise ConfigError("two-series mode is generated by run_two_series")
     return _generate_series(config, series=0, workers=workers)
@@ -434,7 +431,6 @@ def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleRe
     first-outcome +1 runs, series 1 through its -1 runs; the unused runs
     stay in the denominators as discarded.
     """
-    config.validate()
     if config.mode is not Mode.TWO_SERIES:
         raise ConfigError("run_two_series requires mode = two-series")
     plus = _generate_series(config, series=0, workers=workers)
@@ -525,17 +521,19 @@ def write_run_log(result: EnsembleResult, fileobj) -> None:
         else ","
     )
     head = f",{config.mode.value},{config.model.value},{prep},"
-    # everything after the run_id, indexed by cell
+    # everything after the run_id, indexed by run key
     tails = [f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in _CELLS]
+    if config.model is Model.LHV:
+        tails = [tails[cell] for cell in _LHV_CELLS]
     fileobj.write(
         "run_id,mode,model,prep_setting,prep_sign,"
         "first_setting,first_outcome,second_setting,second_outcome\n"
     )
-    start = 0
+    kernel, start = _series_kernel(config), 0
     for i, size in enumerate(_chunk_plan(config.n_runs, config.chunk_size)):
-        cells = _chunk_cells(config, result.series, i, size)[0].tolist()
+        keys = _draw_chunk(config, kernel, result.series, i, size).tolist()
         run_ids = map(str, range(start, start + size))
         # writelines streams the rows: a joined chunk string would cost
         # several MB per chunk of peak memory
-        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, cells)))
+        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, keys)))
         start += size

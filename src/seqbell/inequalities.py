@@ -3,7 +3,8 @@
 For two back-to-back measurements along x then y the joint probability
 factorizes as P(x^a, y^b) = P(x^a) (1 + ab x.y)/2, because the second
 measurement sees the eigenstate left by the first.  The signed sum over
-outcome pairs then collapses to E(x, y) = x.y for every initial state.
+outcome pairs then collapses to E(x, y) = x.y for every initial state:
+positive correlation, unlike the -x.y of a spatially entangled singlet pair.
 
 Inequality ids and their content:
 
@@ -46,16 +47,6 @@ def quantum_pair_prob(
 ) -> float:
     """Exact P(x^sx, y^sy) for a run measuring x then y from the given state."""
     return born_prob(state, x, sign_x) * 0.5 * (1.0 + int(sign_x) * int(sign_y) * dot(x, y))
-
-
-def quantum_expectation(x: Direction, y: Direction) -> float:
-    """Exact E(x, y) = x.y; independent of the initial state.
-
-    Note the sign: two consecutive measurements on one system are positively
-    correlated, opposite to the -x.y of a spatially entangled singlet pair
-    (which this package does not model).
-    """
-    return dot(x, y)
 
 
 def lhs16(a: Direction, b: Direction, c: Direction) -> float:

@@ -142,8 +142,8 @@ class TripleDistribution:
         raise AttributeError("TripleDistribution is immutable")
 
     def __reduce__(self):
-        # restore the exact arrays: re-normalizing could shift float bits
-        # and break bit-level determinism across process boundaries
+        # restore the exact arrays: re-normalizing could shift float bits,
+        # so a pickled config draws the same runs as the original
         return (_rebuild_triple_distribution, (np.array(self.weights), np.array(self._cum)))
 
     def __eq__(self, other):
@@ -242,9 +242,6 @@ class HiddenCountTable:
     def count(self, triple: HiddenTriple) -> int:
         return int(self.counts[triple.index])
 
-    def __add__(self, other: "HiddenCountTable") -> "HiddenCountTable":
-        return HiddenCountTable(self.counts + other.counts)
-
 
 def hidden_marginal(
     table: HiddenCountTable,
@@ -272,11 +269,6 @@ def hidden_marginal(
         mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, Setting.C] == -1)
         return int(table.counts[mask].sum())
     return int(table.counts[_PAIR_MASKS[x, sign_x, y, sign_y]].sum())
-
-
-def hidden_marginals(table: HiddenCountTable) -> dict[tuple[Setting, Outcome, Setting, Outcome], int]:
-    """All 24 ordered pair marginals N(x^sx y^sy), keyed by (x, sx, y, sy)."""
-    return {key: hidden_marginal(table, *key) for key in PAIR_MARGINAL_KEYS}
 
 
 def count_inequality_decomposition(table: HiddenCountTable) -> int:

@@ -32,10 +32,6 @@ class Outcome(IntEnum):
     PLUS = 1
     MINUS = -1
 
-    @property
-    def sign(self) -> int:
-        return int(self)
-
     def flipped(self) -> "Outcome":
         return Outcome.MINUS if self is Outcome.PLUS else Outcome.PLUS
 
@@ -99,7 +95,11 @@ def dot(d1: Direction, d2: Direction) -> float:
 
 @lru_cache(maxsize=1024)
 def _frame_components(e: Direction):
-    """Transverse axes of e as two float triples; (u, v, e) right-handed."""
+    """Transverse axes of e as two float triples; (u, v, e) right-handed.
+
+    For e along +z this is exactly (x-hat, y-hat), which fixes the phase
+    gauge used by the canonical state representation.
+    """
     if abs(e.x) <= 0.9:
         hx, hy, hz = 1.0, 0.0, 0.0
     else:
@@ -112,16 +112,6 @@ def _frame_components(e: Direction):
     vy = e.z * ux - e.x * uz
     vz = e.x * uy - e.y * ux
     return (ux, uy, uz), (vx, vy, vz)
-
-
-def orthonormal_frame(e: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic transverse axes (u, v) with (u, v, e) right-handed.
-
-    For e along +z this is exactly (x-hat, y-hat), which fixes the phase
-    gauge used by the canonical state representation.
-    """
-    u, v = _frame_components(e)
-    return np.array(u), np.array(v)
 
 
 def azimuth_about(x: Direction, e: Direction) -> float:
@@ -241,29 +231,6 @@ def born_prob(state: PureState, x: Direction, outcome: Outcome) -> float:
     rx, ry, rz = _bloch_components(state)
     p = 0.5 * (1.0 + int(outcome) * (rx * x.x + ry * x.y + rz * x.z))
     return min(1.0, max(0.0, p))
-
-
-def collapse(state: PureState, x: Direction, outcome: Outcome) -> PureState:
-    """Post-measurement state after observing the outcome along x.
-
-    Stored against the canonical z-axis reference so repeated collapses are
-    bit-identical.  Collapsing onto a zero-probability outcome is rejected.
-    """
-    if born_prob(state, x, outcome) == 0.0:
-        raise ValueError(
-            f"cannot collapse onto zero-probability outcome {int(outcome):+d} along {x}"
-        )
-    sign = int(outcome)
-    return _state_from_components(sign * x.x, sign * x.y, sign * x.z, Z_AXIS)
-
-
-def measure(
-    state: PureState, x: Direction, rng: np.random.Generator
-) -> tuple[Outcome, PureState]:
-    """Sample one projective measurement along x; returns (outcome, new state)."""
-    p_plus = born_prob(state, x, Outcome.PLUS)
-    outcome = Outcome.PLUS if rng.random() < p_plus else Outcome.MINUS
-    return outcome, collapse(state, x, outcome)
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from seqbell import cli
 from seqbell.cli import main
-from seqbell.config import ExperimentConfig, apply_overrides, parse_config
+from seqbell.config import ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.lhv import Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
@@ -135,10 +136,41 @@ class TestRoundTrip:
 
     def test_digest_tracks_protocol_only(self):
         base = parse_config("")
-        same_physics = apply_overrides(base, report_format="structured", sigma=3.0)
+        same_physics = replace(base, report_format="structured", sigma=3.0)
         assert same_physics.digest() == base.digest()
-        other = apply_overrides(base, seed=43)
+        other = replace(base, seed=43)
         assert other.digest() != base.digest()
+
+
+_SIGMA_COMMANDS = (["predict"], ["simulate", "--runs", "100"])
+_SEED_ERROR = "seed must be a non-negative 64-bit integer, got -1"
+_RUNS_ERROR = "n_runs must be >= 1, got 0"
+
+# (argv, the message after "error: "); CONFIG stands for a valid config file
+BAD_FLAGS = [
+    pytest.param(
+        command + ["--sigma", value],
+        f"report.sigma must be finite and > 0, got {float(value)!r}",
+        id=f"{value}-command{i}",
+    )
+    for value in ("nan", "inf", "0", "-1")
+    for i, command in enumerate(_SIGMA_COMMANDS)
+] + [
+    pytest.param(["simulate", "--runs", "0"], _RUNS_ERROR, id="runs"),
+    pytest.param(["simulate", "--config", "CONFIG", "--runs", "0"], _RUNS_ERROR, id="runs-config"),
+    pytest.param(["simulate", "--seed", "-1"], _SEED_ERROR, id="seed"),
+    pytest.param(["simulate", "--config", "CONFIG", "--seed", "-1"], _SEED_ERROR, id="seed-config"),
+    # the flag also reaches the search settings; the protocol check comes first
+    pytest.param(["optimize", "--seed", "-1"], _SEED_ERROR, id="seed-optimize"),
+    pytest.param(
+        ["optimize", "--config", "CONFIG", "--seed", "-1"], _SEED_ERROR, id="seed-optimize-config"
+    ),
+    pytest.param(
+        ["simulate", "--config", "CONFIG", "--sigma", "nan"],
+        "report.sigma must be finite and > 0, got nan",
+        id="nan-config",
+    ),
+]
 
 
 class TestCli:
@@ -185,12 +217,45 @@ class TestCli:
         assert main(["predict", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["predict"], ["simulate", "--runs", "100"]])
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_bad_sigma_flag_rejected(self, command, value, capsys):
-        assert main(command + ["--sigma", value]) == 1
+    @pytest.mark.parametrize("argv, error", BAD_FLAGS)
+    def test_bad_sigma_flag_rejected(self, argv, error, tmp_path, capsys):
+        # a bad --sigma, --runs or --seed fails as the config is built, with
+        # the config file's message, before the output directory is made
+        path = tmp_path / "run.cfg"
+        path.write_text("n_runs = 100\noptimizer.starts = 1\n")
+        out = tmp_path / "out"
+        argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+        assert not captured.err.startswith("error: optimizer:")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["simulate", "--config", "CONFIG"], 1),
+            (["simulate", "--runs", "100"], 1),
+            (["optimize", "--config", "CONFIG"], 1),
+            # the second is the replace(config, mode=...) of cli._exact_pair_probs
+            (["predict", "--config", "CONFIG", "--prep"], 2),
+        ],
+    )
+    def test_config_checked_once(self, argv, calls, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n_runs = 100\noptimizer.starts = 1\noptimizer.grid_resolution = 0.5\n"
+        )
+        validate, count = ProtocolConfig.validate, [0]
+
+        def counting(config):
+            count[0] += 1
+            validate(config)
+
+        monkeypatch.setattr(ProtocolConfig, "validate", counting)
+        assert main([str(path) if arg == "CONFIG" else arg for arg in argv]) == 0
+        capsys.readouterr()
+        assert count[0] == calls
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_workers_rejected(self, value, capsys):

@@ -49,8 +49,8 @@ from seqbell.qubit import (
     PureState,
     Z_AXIS,
     bloch_vector,
+    born_prob,
     dot,
-    measure,
     random_direction,
     random_state,
     state_from_bloch,
@@ -118,10 +118,16 @@ class TestDrawSettingPair:
 
 
 def scalar_quantum_run(state, directions, pair, rng):
-    """One run measured step by step with the qubit primitives."""
-    o1, collapsed = measure(state, directions[pair[0]], rng)
-    o2, _ = measure(collapsed, directions[pair[1]], rng)
-    return o1, o2
+    """One run measured step by step with the qubit primitives: each outcome
+    drawn from its Born probability, then the state collapsed onto the
+    eigenstate with Bloch vector outcome * direction."""
+    outcomes = []
+    for setting in pair:
+        x = directions[setting]
+        outcome = PLUS if rng.random() < born_prob(state, x, PLUS) else MINUS
+        state = state_from_bloch(int(outcome) * x.as_array())
+        outcomes.append(outcome)
+    return tuple(outcomes)
 
 
 class TestScalarRuns:
@@ -259,16 +265,20 @@ class TestCellLaw:
         assert stat > stats.chi2.ppf(0.999, df)
 
     def test_validates_config(self):
+        # a config checks itself when built, so no bad one reaches cell_law
+        # or run_ensemble
         dist = TripleDistribution([0, 0, 0, 0, 1, 1, 1, 1])  # all a- triples
-        empty_prep = lhv_config(dist=dist, mode=Mode.PREPARED)
-        negative = replace(empty_prep, mode=Mode.FREE, weights=(-1.0,) + (1.0,) * 7)
+        free = lhv_config(dist=dist)
         # chunk_size is capped at 2**22 runs; no run starts here
-        big_chunk = quantum_config(chunk_size=2**22 + 1)
-        replace(big_chunk, chunk_size=2**22).validate()
-        for config in (empty_prep, negative, replace(negative, weights=(0.0,) * 8), big_chunk):
-            for call in (cell_law, run_ensemble):
-                with pytest.raises(ConfigError):
-                    call(config)
+        at_cap = quantum_config(chunk_size=2**22)
+        for build in (
+            lambda: replace(free, mode=Mode.PREPARED),  # empty preparation
+            lambda: replace(free, weights=(-1.0,) + (1.0,) * 7),
+            lambda: replace(free, weights=(0.0,) * 8),
+            lambda: replace(at_cap, chunk_size=2**22 + 1),
+        ):
+            with pytest.raises(ConfigError):
+                build()
 
 
 def reference_chunk_cells(config, series, chunk_index, size):
@@ -326,6 +336,16 @@ def _oracle_cases():
     return cases
 
 
+def chunk_cells(config, series, chunk_index, size):
+    """One chunk as the engine draws it: each run's cell and, for the lhv
+    model, its reality, both read off the run keys."""
+    kernel = engine._series_kernel(config)
+    key = engine._draw_chunk(config, kernel, series, chunk_index, size)
+    if config.model is Model.QUANTUM:
+        return key, None
+    return engine._LHV_CELLS[key], key // 9
+
+
 class TestChunkKernels:
     @pytest.mark.parametrize("config", _oracle_cases())
     def test_match_reference_bit_for_bit(self, config):
@@ -333,7 +353,7 @@ class TestChunkKernels:
             config = replace(config, seed=seed)
             # the last size spans three blocks of the threshold gathers
             for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
-                cell, triples = engine._chunk_cells(config, series, chunk_index, size)
+                cell, triples = chunk_cells(config, series, chunk_index, size)
                 ref_cell, ref_triples = reference_chunk_cells(config, series, chunk_index, size)
                 assert cell.dtype == ref_cell.dtype
                 assert cell.tobytes() == ref_cell.tobytes()
@@ -351,7 +371,7 @@ class TestChunkKernels:
         for series, chunk_index in ((0, 0), (1, 3)):
             for size in (1, 7, 4099):
                 counts, hidden = engine._run_chunk(config, kernel, series, chunk_index, size)
-                cell, triples = engine._chunk_cells(config, series, chunk_index, size)
+                cell, triples = chunk_cells(config, series, chunk_index, size)
                 assert counts.dtype == hidden.dtype == np.int64
                 assert np.array_equal(counts, np.bincount(cell, minlength=36))
                 assert np.array_equal(hidden, np.bincount(triples, minlength=8))

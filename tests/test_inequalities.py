@@ -24,7 +24,6 @@ from seqbell.inequalities import (
     eval_eq10,
     lhs16,
     lhs18,
-    quantum_expectation,
     quantum_pair_prob,
 )
 from seqbell.lhv import (
@@ -92,13 +91,6 @@ class TestQuantumClosedForms:
         x = random_direction(rng)
         assert quantum_pair_prob(psi, x, PLUS, x, MINUS) == 0.0
         assert quantum_pair_prob(psi, x, MINUS, x, PLUS) == 0.0
-
-    def test_expectation_trivials(self, rng):
-        x = random_direction(rng)
-        y = random_direction(rng)
-        assert quantum_expectation(x, x) == pytest.approx(1.0, abs=1e-12)
-        assert quantum_expectation(X_AXIS, Y_AXIS) == 0.0
-        assert quantum_expectation(x, y) == dot(x, y)
 
     def test_state_independence_of_signed_sum(self, rng):
         # sum over sign pairs of sx sy P(x^sx, y^sy) equals x.y exactly
