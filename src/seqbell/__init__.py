@@ -19,10 +19,8 @@ from .qubit import (
     state_from_bloch,
 )
 from .lhv import (
-    ALL_TRIPLES,
     Disturbance,
     HiddenCountTable,
-    HiddenTriple,
     Setting,
     TripleDistribution,
     check_count_inequality,
@@ -58,13 +56,11 @@ from .config import ExperimentConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_TRIPLES",
     "Direction",
     "Disturbance",
     "EnsembleResult",
     "ExperimentConfig",
     "HiddenCountTable",
-    "HiddenTriple",
     "InequalityReport",
     "Mode",
     "Model",

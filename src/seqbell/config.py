@@ -15,20 +15,18 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .engine import ConfigError, Mode, Model, ProtocolConfig
-from .lhv import ALL_TRIPLES, Disturbance, Setting
+from .lhv import TRIPLE_LABELS, Disturbance, Setting
 from .qubit import Direction, Outcome, PureState, direction_from_spherical
 from .reporting import DEFAULT_SIGMA
 from .search import OBJECTIVE_KINDS, SearchConfig
 
 REPORT_FORMATS = ("tabular", "structured")
 
-_WEIGHT_LABELS = tuple(t.label() for t in ALL_TRIPLES)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig(ProtocolConfig):
     """A config file: the run protocol plus what only reports and the CLI read.
-    Checked when built: the threshold first, then the protocol."""
+    Checked when built: the format and threshold first, then the protocol."""
 
     disturbance: Disturbance = Disturbance.NONE
     report_format: str = "tabular"
@@ -38,6 +36,10 @@ class ExperimentConfig(ProtocolConfig):
     optimizer: SearchConfig | None = None
 
     def __post_init__(self):
+        if self.report_format not in REPORT_FORMATS:
+            raise ConfigError(
+                f"report.format must be tabular or structured, got {self.report_format!r}"
+            )
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"report.sigma must be finite and > 0, got {self.sigma!r}")
         super().__post_init__()
@@ -70,7 +72,7 @@ class ExperimentConfig(ProtocolConfig):
                 f"state.e.z = {self.state.e.z!r}",
             ]
         else:
-            for label, w in zip(_WEIGHT_LABELS, self.weights):
+            for label, w in zip(TRIPLE_LABELS, self.weights):
                 lines.append(f"lhv.weights.{label} = {w!r}")
         if self.mode is Mode.PREPARED:
             lines += [
@@ -213,7 +215,7 @@ def parse_config(text: str = "", **overrides) -> ExperimentConfig:
         raise ConfigError(f"lhv.weights.* keys require model = lhv: {sorted(weight_keys)}")
     weights = None
     if model is Model.LHV:
-        values = dict.fromkeys(_WEIGHT_LABELS, 0.125)
+        values = dict.fromkeys(TRIPLE_LABELS, 0.125)
         for key in weight_keys:
             label = key[len("lhv.weights.") :]
             if label not in values:
@@ -237,8 +239,6 @@ def parse_config(text: str = "", **overrides) -> ExperimentConfig:
         prep_sign = Outcome.PLUS if raw == "+1" else Outcome.MINUS
 
     report_format = entries.pop("report.format", defaults.report_format)
-    if report_format not in REPORT_FORMATS:
-        raise ConfigError(f"report.format must be tabular or structured, got {report_format!r}")
     sigma = _take_float(entries, "report.sigma", defaults.sigma)
 
     out_dir = entries.pop("output.dir", None)

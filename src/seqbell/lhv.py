@@ -17,7 +17,7 @@ verifier checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import product
 
@@ -43,55 +43,10 @@ PAIR_MARGINAL_KEYS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class HiddenTriple:
-    """One joint reality: a definite outcome for each setting."""
-
-    alpha: Outcome
-    beta: Outcome
-    gamma: Outcome
-
-    def component(self, setting: Setting) -> Outcome:
-        return (self.alpha, self.beta, self.gamma)[Setting(setting)]
-
-    @property
-    def index(self) -> int:
-        bits = [0 if o is Outcome.PLUS else 1 for o in (self.alpha, self.beta, self.gamma)]
-        return bits[0] * 4 + bits[1] * 2 + bits[2]
-
-    @classmethod
-    def from_index(cls, index: int) -> "HiddenTriple":
-        if not 0 <= index < 8:
-            raise ValueError(f"triple index must be in 0..7, got {index}")
-        outs = [Outcome.PLUS if (index >> shift) & 1 == 0 else Outcome.MINUS for shift in (2, 1, 0)]
-        return cls(*outs)
-
-    def label(self) -> str:
-        signs = ["+" if o is Outcome.PLUS else "-" for o in (self.alpha, self.beta, self.gamma)]
-        return f"a{signs[0]}b{signs[1]}c{signs[2]}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "HiddenTriple":
-        text = label.strip()
-        if len(text) != 6 or text[0] != "a" or text[2] != "b" or text[4] != "c":
-            raise ValueError(f"triple label must look like 'a+b-c+', got {label!r}")
-        outs = []
-        for ch in (text[1], text[3], text[5]):
-            if ch == "+":
-                outs.append(Outcome.PLUS)
-            elif ch == "-":
-                outs.append(Outcome.MINUS)
-            else:
-                raise ValueError(f"triple label signs must be '+' or '-', got {label!r}")
-        return cls(*outs)
-
-
-ALL_TRIPLES = tuple(HiddenTriple.from_index(i) for i in range(8))
-
-# (8, 3) array of signed components, row = triple index, column = setting.
-TRIPLE_COMPONENTS = np.array(
-    [[int(t.alpha), int(t.beta), int(t.gamma)] for t in ALL_TRIPLES], dtype=np.int8
-)
+# one joint reality per index 0..7: its label, and its (8, 3) int8 signed
+# components, row = index, column = setting; a+b+c+ first, a-b-c- last
+TRIPLE_LABELS = tuple(f"a{sa}b{sb}c{sc}" for sa, sb, sc in product("+-", repeat=3))
+TRIPLE_COMPONENTS = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 
 # the realities consistent with readout sx at x and sy at y, keyed (x, sx, y, sy);
 # a same-setting key with unequal signs selects none
@@ -114,13 +69,15 @@ class Disturbance(str, Enum):
     FLIP_UNMEASURED = "flip-unmeasured-after-second"
 
 
+@dataclass(frozen=True, eq=False)
 class TripleDistribution:
-    """Normalized weights over the 8 joint realities."""
+    """Normalized weights over the 8 joint realities, as read-only arrays."""
 
-    __slots__ = ("weights", "_cum")
+    weights: np.ndarray
+    _cum: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
         if w.shape != (8,):
             raise ValueError(f"expected 8 weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -133,46 +90,13 @@ class TripleDistribution:
         w = w / total
         cum = np.cumsum(w)
         cum[-1] = 1.0
-        w.setflags(write=False)
-        cum.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_cum", cum)
+        self.__setstate__({"weights": w, "_cum": cum})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TripleDistribution is immutable")
-
-    def __reduce__(self):
-        # restore the exact arrays: re-normalizing could shift float bits,
-        # so a pickled config draws the same runs as the original
-        return (_rebuild_triple_distribution, (np.array(self.weights), np.array(self._cum)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TripleDistribution):
-            return NotImplemented
-        return bool(np.array_equal(self.weights, other.weights))
-
-    def __hash__(self):
-        return hash(self.weights.tobytes())
-
-    @classmethod
-    def uniform(cls) -> "TripleDistribution":
-        return cls(np.full(8, 0.125))
-
-    @classmethod
-    def point_mass(cls, triple: HiddenTriple) -> "TripleDistribution":
-        w = np.zeros(8)
-        w[triple.index] = 1.0
-        return cls(w)
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "TripleDistribution":
-        w = np.zeros(8)
-        for label, weight in mapping.items():
-            w[HiddenTriple.from_label(label).index] = float(weight)
-        return cls(w)
-
-    def as_mapping(self) -> dict[str, float]:
-        return {t.label(): float(self.weights[t.index]) for t in ALL_TRIPLES}
+    def __setstate__(self, state):
+        # unpickling keeps the exact float bits but yields writeable arrays
+        for array in state.values():
+            array.setflags(write=False)
+        self.__dict__.update(state)
 
     def condition(self, setting: Setting, outcome: Outcome) -> "TripleDistribution":
         """Distribution over triples whose component at setting equals outcome."""
@@ -185,17 +109,8 @@ class TripleDistribution:
         return TripleDistribution(w)
 
 
-def _rebuild_triple_distribution(weights: np.ndarray, cum: np.ndarray) -> TripleDistribution:
-    obj = TripleDistribution.__new__(TripleDistribution)
-    weights.setflags(write=False)
-    cum.setflags(write=False)
-    object.__setattr__(obj, "weights", weights)
-    object.__setattr__(obj, "_cum", cum)
-    return obj
-
-
 def sample_triple_indices(dist: TripleDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n joint realities at once, as indices into ALL_TRIPLES.
+    """Draw n joint realities at once, as indices into TRIPLE_LABELS.
 
     The index of a uniform u is the number of cumulative weights before the
     last that are <= u.  That is searchsorted(cum, u, side="right") capped
@@ -223,24 +138,6 @@ class HiddenCountTable:
             raise ValueError("counts must be non-negative")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def zero(cls) -> "HiddenCountTable":
-        return cls(np.zeros(8, dtype=np.int64))
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "HiddenCountTable":
-        c = np.zeros(8, dtype=np.int64)
-        for label, n in mapping.items():
-            c[HiddenTriple.from_label(label).index] = int(n)
-        return cls(c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def count(self, triple: HiddenTriple) -> int:
-        return int(self.counts[triple.index])
 
 
 def hidden_marginal(
@@ -272,10 +169,9 @@ def hidden_marginal(
 
 
 def count_inequality_decomposition(table: HiddenCountTable) -> int:
-    """Exact cell decomposition of the EQ4 margin: N(a+b-c+) + N(a-b+c-)."""
-    return table.count(HiddenTriple.from_label("a+b-c+")) + table.count(
-        HiddenTriple.from_label("a-b+c-")
-    )
+    """Exact cell decomposition of the EQ4 margin: N(a+b-c+) + N(a-b+c-),
+    the cells at indices 2 and 5."""
+    return int(table.counts[2] + table.counts[5])
 
 
 def check_count_inequality(

@@ -80,8 +80,8 @@ class SearchConfig:
     def validate(self) -> None:
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
-        if self.step_tolerance <= 0:
-            raise ValueError(f"step_tolerance must be > 0, got {self.step_tolerance}")
+        if not (math.isfinite(self.step_tolerance) and self.step_tolerance > 0):
+            raise ValueError(f"step_tolerance must be finite and > 0, got {self.step_tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:

@@ -246,9 +246,9 @@ class TestCriterion6SamplingFactor:
     def test_ratio_against_exact_binomial_sigma(self):
         rng = np.random.default_rng(10)
         distributions = [
-            TripleDistribution.uniform(),
+            TripleDistribution(np.full(8, 0.125)),
             TripleDistribution(rng.random(8)),
-            TripleDistribution.from_mapping({"a+b-c+": 0.6, "a-b+c-": 0.3, "a+b+c+": 0.1}),
+            TripleDistribution([0.1, 0, 0.6, 0, 0, 0.3, 0, 0]),  # a+b+c+, a+b-c+, a-b+c-
         ]
         worst = 0.0
         checked = 0

@@ -90,6 +90,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="lhv.weights"):
             parse_config("lhv.weights.a+b+c+ = 1.0")
 
+    def test_bad_triple_labels_rejected(self):
+        for label in ("a+b-", "a+b0c-"):
+            with pytest.raises(ConfigError, match="unknown triple label"):
+                parse_config(f"model = lhv\nlhv.weights.{label} = 1")
+
+    def test_report_format_checked_when_built(self):
+        # a config built in code gets the parser's check: no silent tabular report
+        message = "report.format must be tabular or structured, got 'json'"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(report_format="json")
+        with pytest.raises(ConfigError, match=message):
+            replace(ExperimentConfig(), report_format="json")
+        with pytest.raises(ConfigError, match=message):
+            parse_config("report.format = json")
+
     def test_prep_keys_require_prepared_mode(self):
         with pytest.raises(ConfigError, match="prep"):
             parse_config("prep.setting = B")

@@ -33,10 +33,9 @@ from seqbell.engine import (
 )
 from seqbell.inequalities import quantum_pair_prob
 from seqbell.lhv import (
-    ALL_TRIPLES,
-    HiddenTriple,
     Setting,
     TRIPLE_COMPONENTS,
+    TRIPLE_LABELS,
     TripleDistribution,
     hidden_marginal,
     lhv_pair_prob,
@@ -83,9 +82,13 @@ def lhv_config(dist=None, n_runs=100, seed=1, mode=Mode.FREE, directions=XYZ, **
         **dict(zip("abc", directions)),
         n_runs=n_runs,
         seed=seed,
-        weights=tuple((dist or TripleDistribution.uniform()).weights),
+        weights=tuple((dist or TripleDistribution(np.full(8, 0.125))).weights),
         **kw,
     )
+
+
+def point_mass(label):
+    return TripleDistribution(np.eye(8)[TRIPLE_LABELS.index(label)])
 
 
 class DoneFuture:
@@ -174,11 +177,10 @@ class TestScalarRuns:
         assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     def test_lhv_point_mass_record(self, rng):
-        dist = TripleDistribution.point_mass(HiddenTriple.from_label("a+b-c+"))
+        dist = point_mass("a+b-c+")
         for i in sample_triple_indices(dist, 100, rng):
-            triple = ALL_TRIPLES[i]
-            assert triple.label() == "a+b-c+"
-            assert triple.component(A) is PLUS and triple.component(B) is MINUS
+            assert TRIPLE_LABELS[i] == "a+b-c+"
+            assert TRIPLE_COMPONENTS[i, A] == PLUS and TRIPLE_COMPONENTS[i, B] == MINUS
         assert cell_law(lhv_config(dist=dist))[A, B, 0, 1] == 1.0
 
     def test_lhv_same_setting_equal(self, rng):
@@ -686,7 +688,7 @@ class TestEstimators:
         assert not estimate_pair_prob(table, A, MINUS, B, MINUS).low_stats
 
     def test_lhv_point_mass_pair_prob_is_one(self):
-        dist = TripleDistribution.point_mass(HiddenTriple.from_label("a+b-c+"))
+        dist = point_mass("a+b-c+")
         result = run_ensemble(lhv_config(dist=dist, n_runs=20000, seed=3))
         prob = estimate_pair_prob(result.table, A, PLUS, B, MINUS)
         assert prob.value == 1.0 and prob.stderr == 0.0

@@ -1,4 +1,11 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
 import seqbell
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -15,13 +22,11 @@ def test_star_import():
 def test_public_surface_is_pinned():
     # an export added or removed shows up here as a reviewed edit
     assert sorted(seqbell.__all__) == [
-        "ALL_TRIPLES",
         "Direction",
         "Disturbance",
         "EnsembleResult",
         "ExperimentConfig",
         "HiddenCountTable",
-        "HiddenTriple",
         "InequalityReport",
         "Mode",
         "Model",
@@ -62,3 +67,42 @@ def test_public_surface_is_pinned():
         "state_from_bloch",
         "two_series_estimate",
     ]
+
+
+# every name README says is no longer defined, as a dotted path under seqbell
+REMOVED = [
+    "qubit.measure",
+    "qubit.collapse",
+    "qubit.orthonormal_frame",
+    "inequalities.quantum_expectation",
+    "lhv.hidden_marginals",
+    "qubit.Outcome.sign",
+    "engine.RunCountTable.__add__",
+    "lhv.HiddenCountTable.__add__",
+    "lhv.HiddenTriple",
+    "lhv.ALL_TRIPLES",
+    "lhv.TripleDistribution.uniform",
+    "lhv.TripleDistribution.point_mass",
+    "lhv.TripleDistribution.from_mapping",
+    "lhv.TripleDistribution.as_mapping",
+    "lhv.TripleDistribution.__eq__",
+    "lhv.TripleDistribution.__hash__",
+    "lhv.TripleDistribution.__reduce__",
+    "lhv._rebuild_triple_distribution",
+    "lhv.HiddenCountTable.total",
+    "lhv.HiddenCountTable.zero",
+    "lhv.HiddenCountTable.from_mapping",
+    "lhv.HiddenCountTable.count",
+]
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_name_stays_gone_and_listed(path):
+    module, *attrs, name = path.split(".")
+    owner = importlib.import_module(f"seqbell.{module}")
+    for attr in attrs:
+        owner = getattr(owner, attr)
+    # vars, not hasattr: object itself defines __eq__ and __hash__
+    assert name not in vars(owner)
+    assert name not in seqbell.__all__
+    assert f"`{path}`" in README.read_text(encoding="utf-8")

@@ -1,13 +1,16 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqbell.config import parse_config
 from seqbell.lhv import (
-    ALL_TRIPLES,
     HiddenCountTable,
-    HiddenTriple,
     PAIR_MARGINAL_KEYS,
+    TRIPLE_COMPONENTS,
+    TRIPLE_LABELS,
     Setting,
     TripleDistribution,
     check_count_inequality,
@@ -22,66 +25,61 @@ from seqbell.qubit import OUTCOMES, Outcome
 count_tables = st.lists(st.integers(min_value=0, max_value=10**6), min_size=8, max_size=8)
 
 
+def by_label(mapping):
+    """The 8-vector holding each labelled reality's value, zero elsewhere."""
+    v = np.zeros(8)
+    for label, value in mapping.items():
+        v[TRIPLE_LABELS.index(label)] = value
+    return v
+
+
+def point_mass(label):
+    return TripleDistribution(by_label({label: 1.0}))
+
+
+def count_table(mapping):
+    return HiddenCountTable(by_label(mapping).astype(np.int64))
+
+
+def component(label, setting):
+    """The outcome a reality assigns to a setting, read off its label."""
+    return Outcome.PLUS if label[2 * setting + 1] == "+" else Outcome.MINUS
+
+
 def marginal_oracle(table, x, sx, y, sy):
-    """Brute force: walk all 8 triples and sum the consistent cells."""
+    """Brute force: walk all 8 labels and sum the consistent cells."""
     return sum(
-        table.count(t)
-        for t in ALL_TRIPLES
-        if t.component(x) == sx and t.component(y) == sy
+        int(n)
+        for label, n in zip(TRIPLE_LABELS, table.counts)
+        if component(label, x) == sx and component(label, y) == sy
     )
 
 
-class TestHiddenTriple:
-    def test_eight_distinct_triples(self):
-        assert len(set(ALL_TRIPLES)) == 8
-        for i, t in enumerate(ALL_TRIPLES):
-            assert t.index == i
-            assert HiddenTriple.from_label(t.label()) == t
-
-    def test_read_components(self):
-        t = HiddenTriple.from_label("a+b-c+")
-        assert t.component(Setting.A) is Outcome.PLUS
-        assert t.component(Setting.B) is Outcome.MINUS
-        assert t.component(Setting.C) is Outcome.PLUS
-
-    def test_read_is_repeatable(self):
-        for t in ALL_TRIPLES:
-            for s in Setting:
-                assert t.component(s) == t.component(s)
-
-    def test_read_is_setting_local(self):
-        # changing an unmeasured component never changes the read outcome
-        for t in ALL_TRIPLES:
-            for s in Setting:
-                for other in ALL_TRIPLES:
-                    if other.component(s) == t.component(s):
-                        assert other.component(s) == t.component(s)
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError):
-            HiddenTriple.from_label("a+b-")
-        with pytest.raises(ValueError):
-            HiddenTriple.from_label("a+b0c-")
+def test_labels_match_components_and_config_order():
+    assert len(set(TRIPLE_LABELS)) == 8
+    for label, row in zip(TRIPLE_LABELS, TRIPLE_COMPONENTS):
+        assert [int(component(label, s)) for s in Setting] == row.tolist()
+    lines = parse_config("model = lhv").protocol_lines()
+    keys = [line.split(" = ")[0] for line in lines if line.startswith("lhv.weights.")]
+    assert keys == [f"lhv.weights.{label}" for label in TRIPLE_LABELS]
 
 
 class TestTripleDistribution:
     def test_point_mass_sampling(self, rng):
-        t = HiddenTriple.from_label("a+b+c+")
-        dist = TripleDistribution.point_mass(t)
-        assert all(ALL_TRIPLES[i] == t for i in sample_triple_indices(dist, 100, rng))
+        dist = point_mass("a+b+c+")
+        assert all(TRIPLE_LABELS[i] == "a+b+c+" for i in sample_triple_indices(dist, 100, rng))
 
     def test_uniform_frequencies(self, rng):
         n = 10**6
-        idx = sample_triple_indices(TripleDistribution.uniform(), n, rng)
+        idx = sample_triple_indices(TripleDistribution(np.full(8, 0.125)), n, rng)
         freqs = np.bincount(idx, minlength=8) / n
         sigma = np.sqrt(0.125 * 0.875 / n)
         assert np.all(np.abs(freqs - 0.125) < 4 * sigma)
 
     def test_pair_support_concentrates(self, rng):
-        dist = TripleDistribution.from_mapping({"a+b-c+": 0.5, "a+b-c-": 0.5})
+        dist = TripleDistribution(by_label({"a+b-c+": 0.5, "a+b-c-": 0.5}))
         for i in sample_triple_indices(dist, 200, rng):
-            t = ALL_TRIPLES[i]
-            assert t.alpha is Outcome.PLUS and t.beta is Outcome.MINUS
+            assert TRIPLE_COMPONENTS[i, Setting.A] == 1 and TRIPLE_COMPONENTS[i, Setting.B] == -1
 
     def test_zero_weight_never_sampled(self, rng):
         dist = TripleDistribution([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
@@ -113,22 +111,35 @@ class TestTripleDistribution:
             TripleDistribution(np.ones(7))
 
     def test_condition(self):
-        dist = TripleDistribution.uniform().condition(Setting.A, Outcome.PLUS)
+        dist = TripleDistribution(np.full(8, 0.125)).condition(Setting.A, Outcome.PLUS)
         assert lhv_pair_prob(dist, Setting.A, Outcome.PLUS, Setting.B, Outcome.PLUS) == 0.5
         assert lhv_pair_prob(dist, Setting.A, Outcome.MINUS, Setting.B, Outcome.PLUS) == 0.0
-        point = TripleDistribution.point_mass(HiddenTriple.from_label("a+b+c+"))
+        point = point_mass("a+b+c+")
         with pytest.raises(ValueError):
             point.condition(Setting.A, Outcome.MINUS)
 
+    def test_pickle_keeps_exact_read_only_arrays(self, rng):
+        # the config carries its built distribution, so both restore the arrays
+        # as pickled rather than normalizing the weights again
+        dist = TripleDistribution(rng.random(8))
+        config = parse_config("model = lhv\nlhv.weights.a+b-c+ = 3\nlhv.weights.a-b-c- = 0.7")
+        for original, restored in (
+            (dist, pickle.loads(pickle.dumps(dist))),
+            (config.dist, pickle.loads(pickle.dumps(config)).dist),
+        ):
+            for name in ("weights", "_cum"):
+                assert getattr(restored, name).tobytes() == getattr(original, name).tobytes()
+                assert not getattr(restored, name).flags.writeable
+
     def test_mapping_round_trip(self):
-        mapping = {t.label(): w for t, w in zip(ALL_TRIPLES, np.linspace(1, 8, 8) / 36)}
-        dist = TripleDistribution.from_mapping(mapping)
-        assert dist.as_mapping() == pytest.approx(mapping)
+        mapping = dict(zip(TRIPLE_LABELS, np.linspace(1, 8, 8) / 36))
+        dist = TripleDistribution(by_label(mapping))
+        assert dict(zip(TRIPLE_LABELS, dist.weights)) == pytest.approx(mapping)
 
 
 class TestHiddenMarginals:
     def test_single_cell_sums(self):
-        table = HiddenCountTable.from_mapping({"a+b-c-": 5})
+        table = count_table({"a+b-c-": 5})
         assert hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) == 5
         assert hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS) == 5
         assert hidden_marginal(table, Setting.B, Outcome.PLUS, Setting.C, Outcome.MINUS) == 0
@@ -136,7 +147,7 @@ class TestHiddenMarginals:
     def test_defining_relations(self):
         # N(a+b-), N(a+c-) and the b+c- marginal written out cell by cell.
         table = HiddenCountTable(np.arange(1, 9, dtype=np.int64))
-        n = lambda label: table.count(HiddenTriple.from_label(label))
+        n = lambda label: table.counts[TRIPLE_LABELS.index(label)]
         assert hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) == n(
             "a+b-c+"
         ) + n("a+b-c-")
@@ -166,7 +177,7 @@ class TestHiddenMarginals:
                         )
 
     def test_same_setting_rejected(self):
-        table = HiddenCountTable.zero()
+        table = HiddenCountTable(np.zeros(8, dtype=np.int64))
         with pytest.raises(ValueError):
             hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.A, Outcome.PLUS)
 
@@ -174,7 +185,7 @@ class TestHiddenMarginals:
 class TestCountInequality:
     def test_single_cell_margin_zero(self):
         for label in ("a+b-c-", "a+b+c-"):
-            report = check_count_inequality(HiddenCountTable.from_mapping({label: 5 if label == "a+b-c-" else 7}))
+            report = check_count_inequality(count_table({label: 5 if label == "a+b-c-" else 7}))
             assert report.margin == 0.0
             assert not report.violated
 
@@ -196,7 +207,7 @@ class TestCountInequality:
     def test_literal_misprint_breaks_identity(self):
         # A table concentrated on a-b+c- has EQ4 margin 5, but the misprinted
         # b+c- relation reads zero there, so the decomposition identity fails.
-        table = HiddenCountTable.from_mapping({"a-b+c-": 5})
+        table = count_table({"a-b+c-": 5})
         good = check_count_inequality(table)
         assert good.margin == 5 == count_inequality_decomposition(table)
         bad = check_count_inequality(table, literal_eq3=True)
@@ -209,7 +220,7 @@ class TestCountInequality:
 
 class TestLhvClosedForms:
     def test_pair_prob_point_mass(self):
-        dist = TripleDistribution.point_mass(HiddenTriple.from_label("a+b-c+"))
+        dist = point_mass("a+b-c+")
         assert lhv_pair_prob(dist, Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) == 1.0
         assert lhv_pair_prob(dist, Setting.A, Outcome.PLUS, Setting.B, Outcome.PLUS) == 0.0
 
@@ -222,9 +233,9 @@ class TestLhvClosedForms:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_expectation_of_deterministic_triples(self):
-        for t in ALL_TRIPLES:
-            dist = TripleDistribution.point_mass(t)
+        for label in TRIPLE_LABELS:
+            dist = point_mass(label)
             for x in Setting:
                 for y in Setting:
-                    expected = int(t.component(x)) * int(t.component(y))
+                    expected = int(component(label, x)) * int(component(label, y))
                     assert lhv_expectation(dist, x, y) == expected

@@ -163,7 +163,17 @@ class TestMaximize:
         result = maximize(config, initial=reference_configuration("EQ16"))
         assert result.value >= SQRT2 - 1e-12
 
-    @pytest.mark.parametrize("bad", [{"n_starts": 0}, {"objective": "eq99"}, {"grid_resolution": 0.001}])
+    # a non-finite step_tolerance would let maximize report a zero-step search as converged
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_starts": 0},
+            {"objective": "eq99"},
+            {"grid_resolution": 0.001},
+            {"step_tolerance": math.nan},
+            {"step_tolerance": math.inf},
+        ],
+    )
     def test_settings_checked_when_built(self, bad):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
