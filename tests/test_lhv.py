@@ -55,13 +55,21 @@ def marginal_oracle(table, x, sx, y, sy):
     )
 
 
-def test_labels_match_components_and_config_order():
-    assert len(set(TRIPLE_LABELS)) == 8
-    for label, row in zip(TRIPLE_LABELS, TRIPLE_COMPONENTS):
-        assert [int(component(label, s)) for s in Setting] == row.tolist()
-    lines = parse_config("model = lhv").protocol_lines()
-    keys = [line.split(" = ")[0] for line in lines if line.startswith("lhv.weights.")]
-    assert keys == [f"lhv.weights.{label}" for label in TRIPLE_LABELS]
+class TestHiddenTriple:
+    """A hidden triple is its index 0..7 into TRIPLE_LABELS and TRIPLE_COMPONENTS."""
+
+    def test_eight_distinct_triples(self):
+        assert len(TRIPLE_LABELS) == len(set(TRIPLE_LABELS)) == 8
+        assert TRIPLE_COMPONENTS.shape == (8, 3)
+        lines = parse_config("model = lhv").protocol_lines()
+        keys = [line.split(" = ")[0] for line in lines if line.startswith("lhv.weights.")]
+        assert keys == [f"lhv.weights.{label}" for label in TRIPLE_LABELS]
+
+    def test_read_components(self):
+        for label, row in zip(TRIPLE_LABELS, TRIPLE_COMPONENTS):
+            assert [int(component(label, s)) for s in Setting] == row.tolist()
+        row = TRIPLE_COMPONENTS[TRIPLE_LABELS.index("a+b-c+")]
+        assert row.tolist() == [1, -1, 1]
 
 
 class TestTripleDistribution:
