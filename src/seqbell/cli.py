@@ -42,7 +42,7 @@ from .inequalities import (
 )
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
-from .reporting import InequalityReport, kv_line, report_lines, report_table_row
+from .reporting import InequalityReport, kv_line, kv_lines, report_lines, report_table_row
 from .search import (
     OBJECTIVE_KINDS,
     SearchConfig,
@@ -59,6 +59,20 @@ _SIGN = {Outcome.PLUS: "+", Outcome.MINUS: "-"}
 
 def _prob_key(x, sx, y, sy, sep=".") -> str:
     return f"{x.name}{_SIGN[sx]}{sep}{y.name}{_SIGN[sy]}"
+
+
+def _keys(prefix: str, fields) -> tuple[str, ...]:
+    return tuple(f"{prefix}.{field} = " for field in fields)
+
+
+# the structured keys of the estimate and eq5 blocks, built once
+_ESTIMATE_FIELDS = ("defined", "value", "stderr", "n", "low_stats")
+_E_KEYS = {(x, y): _keys(f"estimate.E.{x.name}.{y.name}", _ESTIMATE_FIELDS) for x, y in PAIRS}
+_P_KEYS = {key: _keys(f"estimate.P.{_prob_key(*key)}", _ESTIMATE_FIELDS) for key in ALL_PROBS}
+_EQ5_KEYS = {
+    key: _keys(f"eq5.{_prob_key(*key)}", ("defined", "ratio", "stderr", "marginal", "observed"))
+    for key in PAIR_MARGINAL_KEYS
+}
 
 
 def _direction_lines(directions) -> list[str]:
@@ -78,14 +92,8 @@ def _structured(command: str, config: ExperimentConfig | None, lines: list[str])
     return "\n".join(head + lines) + "\n"
 
 
-def _estimate_lines(prefix: str, est) -> list[str]:
-    return [
-        kv_line(f"{prefix}.defined", est.defined),
-        kv_line(f"{prefix}.value", est.value),
-        kv_line(f"{prefix}.stderr", est.stderr),
-        kv_line(f"{prefix}.n", est.n_conditioning),
-        kv_line(f"{prefix}.low_stats", est.low_stats),
-    ]
+def _estimate_lines(keys: tuple[str, ...], est) -> list[str]:
+    return kv_lines(keys, (est.defined, est.value, est.stderr, est.n_conditioning, est.low_stats))
 
 
 def _estimate_row(label: str, value: str, est, flag_low_stats: bool = True) -> str:
@@ -187,10 +195,10 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
             kv_line("result.same_setting_runs", same),
             kv_line("result.same_setting_agreement", agree / same if same else float("nan")),
         ]
-        for (x, y), est in expectations.items():
-            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est)
+        for pair, est in expectations.items():
+            lines += _estimate_lines(_E_KEYS[pair], est)
         for key, prob in probs.items():
-            lines += _estimate_lines(f"estimate.P.{_prob_key(*key)}", prob)
+            lines += _estimate_lines(_P_KEYS[key], prob)
         lines += [
             kv_line("derived.lhs16.value", eq10.lhs),
             kv_line("derived.lhs16.stderr", lhs16_err),
@@ -201,15 +209,8 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
         if hidden is not None:
             for key in PAIR_MARGINAL_KEYS:
                 ratio = eq5_ratio(hidden, table, *key)
-                prefix = f"eq5.{_prob_key(*key)}"
-                lines.append(kv_line(f"{prefix}.defined", ratio.defined))
-                if ratio.defined:
-                    lines += [
-                        kv_line(f"{prefix}.ratio", ratio.ratio),
-                        kv_line(f"{prefix}.stderr", ratio.stderr),
-                        kv_line(f"{prefix}.marginal", ratio.marginal),
-                        kv_line(f"{prefix}.observed", ratio.observed),
-                    ]
+                values = (True, *ratio) if ratio.defined else (False,)
+                lines += kv_lines(_EQ5_KEYS[key], values)
         return _structured("simulate", config, lines)
 
     lines = [
@@ -258,8 +259,8 @@ def _build_two_series_report(config, plus, minus, structured) -> str:
             kv_line("result.series_plus_runs", plus.table.total_runs),
             kv_line("result.series_minus_runs", minus.table.total_runs),
         ]
-        for (x, y), est in estimates.items():
-            lines += _estimate_lines(f"estimate.E.{x.name}.{y.name}", est)
+        for pair, est in estimates.items():
+            lines += _estimate_lines(_E_KEYS[pair], est)
         lines.append(kv_line("derived.lhs16.value", eq10.lhs))  # nan when undefined
         lines += _inequality_lines([eq10], structured=True)
         return _structured("simulate", config, lines)

@@ -23,7 +23,7 @@ a probability-level estimate of EQ7 doubles as an estimate of lhs18.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import Estimate, RunCountTable, estimate_expectation, estimate_pair_prob
 from .lhv import HiddenCountTable, Setting, check_count_inequality, hidden_marginal
@@ -164,8 +164,7 @@ def evaluate_table(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA)
     return expectations, probs, reports
 
 
-@dataclass(frozen=True)
-class Eq5Ratio:
+class Eq5Ratio(NamedTuple):
     """Sampling-factor check: 9 N[x^sx y^sy] / N(x^sx y^sy), expected 1."""
 
     ratio: float

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -53,6 +54,12 @@ TRIPLE_COMPONENTS = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 _PAIR_MASKS = {
     (x, sx, y, sy): (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
     for x, y, sx, sy in product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES)
+}
+# the two realities of each pair marginal of distinct settings, as indices
+_PAIR_CELLS = {
+    key: tuple(np.flatnonzero(mask).tolist())
+    for key, mask in _PAIR_MASKS.items()
+    if key[0] != key[2]
 }
 
 
@@ -125,19 +132,36 @@ def sample_triple_indices(dist: TripleDistribution, n: int, rng: np.random.Gener
 
 
 @dataclass(frozen=True)
-class HiddenCountTable:
-    """Counts of joint realities recorded between the two measurements of each run."""
+class CountTable:
+    """Counts of shape _SHAPE: whole, non-negative, held as a read-only int64
+    array.  Both count tables build on it."""
 
     counts: np.ndarray
+    _SHAPE = ()
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (8,):
-            raise ValueError(f"expected 8 counts, got shape {c.shape}")
-        if np.any(c < 0):
+        raw = np.asarray(self.counts)
+        if raw.shape != self._SHAPE:
+            raise ValueError(f"expected counts of shape {self._SHAPE}, got {raw.shape}")
+        # the int64 cast would truncate a fractional count without a word
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
+            raise ValueError("counts must be whole numbers")
+        c = raw.astype(np.int64, copy=False)
+        if c.min() < 0:
             raise ValueError("counts must be non-negative")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+
+    @cached_property
+    def _cells(self) -> list[int]:
+        """The counts as Python ints in C order, read once."""
+        return self.counts.ravel().tolist()
+
+
+class HiddenCountTable(CountTable):
+    """Counts of joint realities recorded between the two measurements of each run."""
+
+    _SHAPE = (8,)
 
 
 def hidden_marginal(
@@ -155,7 +179,6 @@ def hidden_marginal(
     duplicates the cells of N(a+c-); it exists only so the built-in verifier
     can demonstrate that the misprint breaks the EQ4 margin identity.
     """
-    x, y = Setting(x), Setting(y)
     if x == y:
         raise ValueError("pair marginal needs two distinct settings")
     if (
@@ -165,13 +188,17 @@ def hidden_marginal(
     ):
         mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, Setting.C] == -1)
         return int(table.counts[mask].sum())
-    return int(table.counts[_PAIR_MASKS[x, sign_x, y, sign_y]].sum())
+    try:
+        i, j = _PAIR_CELLS[x, sign_x, y, sign_y]
+    except KeyError:
+        raise ValueError(f"no pair marginal for {(x, sign_x, y, sign_y)}") from None
+    return table._cells[i] + table._cells[j]
 
 
 def count_inequality_decomposition(table: HiddenCountTable) -> int:
     """Exact cell decomposition of the EQ4 margin: N(a+b-c+) + N(a-b+c-),
     the cells at indices 2 and 5."""
-    return int(table.counts[2] + table.counts[5])
+    return table._cells[2] + table._cells[5]
 
 
 def check_count_inequality(

@@ -65,10 +65,15 @@ def undefined_report(inequality_id: str, sigma_threshold: float = DEFAULT_SIGMA)
     )
 
 
+# the text of the common value types, found by exact type
+_TEXT = {float: repr, int: str, bool: {True: "true", False: "false"}.__getitem__}
+
+
 def fmt_value(value) -> str:
     """Canonical text for one report value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, Enum):
         return str(value.value)
     if isinstance(value, float):
@@ -80,20 +85,27 @@ def kv_line(key: str, value) -> str:
     return f"{key} = {fmt_value(value)}"
 
 
+def kv_lines(keys, values) -> list[str]:
+    """One line per value, under keys that already end in " = "; as many
+    lines as the shorter of the two."""
+    return [key + fmt_value(value) for key, value in zip(keys, values)]
+
+
+_REPORT_FIELDS = (
+    "defined", "lhs", "rhs", "margin", "stderr_margin", "n_sigma", "sigma_threshold", "violated"
+)
+
+
 def report_lines(report: InequalityReport, prefix: str) -> list[str]:
     """Structured lines for one inequality report."""
-    lines = [kv_line(f"{prefix}.defined", report.defined)]
-    if report.defined:
-        lines += [
-            kv_line(f"{prefix}.lhs", report.lhs),
-            kv_line(f"{prefix}.rhs", report.rhs),
-            kv_line(f"{prefix}.margin", report.margin),
-            kv_line(f"{prefix}.stderr_margin", report.stderr_margin),
-            kv_line(f"{prefix}.n_sigma", report.n_sigma),
-            kv_line(f"{prefix}.sigma_threshold", report.sigma_threshold),
-            kv_line(f"{prefix}.violated", report.violated),
-        ]
-    return lines
+    keys = [f"{prefix}.{field} = " for field in _REPORT_FIELDS]
+    if not report.defined:
+        return kv_lines(keys, (False,))
+    r = report
+    return kv_lines(
+        keys,
+        (True, r.lhs, r.rhs, r.margin, r.stderr_margin, r.n_sigma, r.sigma_threshold, r.violated),
+    )
 
 
 def report_table_row(report: InequalityReport) -> str:

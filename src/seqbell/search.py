@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .inequalities import lhs16, lhs18
-from .qubit import Direction, direction_from_spherical
+from .qubit import UNIT_ATOL, Direction, direction_from_spherical
 
 TWO_PI = 2.0 * math.pi
 OBJECTIVE_KINDS = ("EQ16", "EQ18")
@@ -31,8 +31,7 @@ def _normalize_kind(kind: str) -> str:
     return k
 
 
-@dataclass(frozen=True)
-class TripleConfiguration:
+class TripleConfiguration(NamedTuple):
     """Six spherical angles defining the direction triple (a, b, c)."""
 
     theta_a: float
@@ -43,16 +42,14 @@ class TripleConfiguration:
     phi_c: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.theta_a, self.phi_a, self.theta_b, self.phi_b, self.theta_c, self.phi_c]
-        )
+        return np.array(self)
 
     @classmethod
     def from_array(cls, angles) -> "TripleConfiguration":
         t = np.asarray(angles, dtype=float)
         if t.shape != (6,):
             raise ValueError(f"expected 6 angles, got shape {t.shape}")
-        return cls(*(float(v) for v in t))
+        return cls(*t.tolist())
 
     def directions(self) -> tuple[Direction, Direction, Direction]:
         return (
@@ -101,107 +98,118 @@ class SearchResult:
     trajectory: tuple[float, ...]
 
 
-def objective(kind: str, config: TripleConfiguration) -> float:
+def _unit(theta: float, phi: float) -> tuple[float, float, float]:
+    """direction_from_spherical's components, with Direction's renormalization."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"angles must be finite, got theta={theta!r}, phi={phi!r}")
+    st = math.sin(theta)
+    x, y, z = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    norm = math.sqrt(x * x + y * y + z * z)
+    if abs(norm - 1.0) > UNIT_ATOL:
+        return x / norm, y / norm, z / norm
+    return x, y, z
+
+
+def _dot(u, v) -> float:
+    return min(1.0, max(-1.0, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
+
+
+def objective(kind: str, angles) -> float:
+    """lhs16 or lhs18 of the directions at six angles (a TripleConfiguration
+    or any sequence in its order), with the float steps of qubit.dot."""
     kind = _normalize_kind(kind)
-    a, b, c = config.directions()
-    return lhs16(a, b, c) if kind == "EQ16" else lhs18(a, b, c)
+    ta, pa, tb, pb, tc, pc = angles
+    a, b, c = _unit(ta, pa), _unit(tb, pb), _unit(tc, pc)
+    ab, ac, bc = _dot(a, b), _dot(a, c), _dot(b, c)
+    return ab - ac + bc if kind == "EQ16" else ab + bc - 2.0 * ac + ab * bc
 
 
-def _sph_and_jacobian(theta, phi):
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    d = np.array([st * cp, st * sp, ct])
-    d_theta = np.array([ct * cp, ct * sp, -st])
-    d_phi = np.array([-st * sp, st * cp, 0.0])
-    return d, d_theta, d_phi
+def _stacked_dots(left, right) -> np.ndarray:
+    """Row-by-row dot products, rounded as numpy's 3-vector `@` rounds them
+    (a plain or einsum sum differs in the last bit)."""
+    return np.matmul(np.array(left)[:, None, :], np.array(right)[:, :, None]).ravel()
 
 
-def gradient(kind: str, config: TripleConfiguration) -> np.ndarray:
+def gradient(kind: str, angles) -> np.ndarray:
     """Exact partial derivatives of the objective with respect to the six angles."""
     kind = _normalize_kind(kind)
-    t = config.as_array()
-    a, da_t, da_p = _sph_and_jacobian(t[0], t[1])
-    b, db_t, db_p = _sph_and_jacobian(t[2], t[3])
-    c, dc_t, dc_p = _sph_and_jacobian(t[4], t[5])
+    points, partials = [], []
+    for theta, phi in zip(angles[::2], angles[1::2]):
+        st, ct = math.sin(theta), math.cos(theta)
+        sp, cp = math.sin(phi), math.cos(phi)
+        points.append((st * cp, st * sp, ct))
+        partials += [(ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)]
+    a, b, c = points
     if kind == "EQ16":
-        ga = b - c
-        gb = a + c
-        gc = b - a
+        ga = [y - z for y, z in zip(b, c)]
+        gb = [x + z for x, z in zip(a, c)]
+        gc = [y - x for x, y in zip(a, b)]
     else:
-        ab = float(a @ b)
-        bc = float(b @ c)
-        ga = b * (1.0 + bc) - 2.0 * c
-        gb = a * (1.0 + bc) + c * (1.0 + ab)
-        gc = b * (1.0 + ab) - 2.0 * a
-    return np.array(
-        [ga @ da_t, ga @ da_p, gb @ db_t, gb @ db_p, gc @ dc_t, gc @ dc_p]
-    )
+        one_ab, one_bc = (1.0 + v for v in _stacked_dots([a, b], [b, c]).tolist())
+        ga = [y * one_bc - 2.0 * z for y, z in zip(b, c)]
+        gb = [x * one_bc + z * one_ab for x, z in zip(a, c)]
+        gc = [y * one_ab - 2.0 * x for x, y in zip(a, b)]
+    return _stacked_dots([ga, ga, gb, gb, gc, gc], partials)
 
 
-def _wrap_angles(angles: np.ndarray) -> np.ndarray:
+def _wrap_angles(angles) -> list[float]:
     """Map any real angle pair onto theta in [0, pi], phi in [0, 2*pi),
     preserving the direction each pair denotes."""
-    out = angles.copy()
-    for i in (0, 2, 4):
-        theta = out[i] % TWO_PI
-        phi = out[i + 1]
+    out = []
+    for theta, phi in zip(angles[::2], angles[1::2]):
+        theta %= TWO_PI
         if theta > math.pi:
             theta = TWO_PI - theta
             phi += math.pi
-        out[i] = theta
-        out[i + 1] = phi % TWO_PI
+        out += (theta, phi % TWO_PI)
     return out
 
 
-def _reseed_poles(angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Replace the azimuth of any near-pole direction with a fresh draw.
+def _reseed_poles(angles: list[float], rng: np.random.Generator) -> list[float]:
+    """Replace, in place, the azimuth of any near-pole direction with a fresh draw.
 
     At the poles the azimuth gradient vanishes identically, which can lock a
     search onto one escape great-circle; a re-seeded azimuth randomizes it.
     """
-    out = angles
     for i in (0, 2, 4):
-        if abs(math.sin(out[i])) < POLE_EPSILON:
-            if out is angles:
-                out = angles.copy()
-            out[i + 1] = rng.uniform(0.0, TWO_PI)
-    return out
-
-
-def _random_start(rng: np.random.Generator) -> np.ndarray:
-    angles = np.empty(6)
-    for i in (0, 2, 4):
-        angles[i] = math.acos(rng.uniform(-1.0, 1.0))
-        angles[i + 1] = rng.uniform(0.0, TWO_PI)
+        if abs(math.sin(angles[i])) < POLE_EPSILON:
+            angles[i + 1] = rng.uniform(0.0, TWO_PI)
     return angles
 
 
-def local_search(
-    search: SearchConfig, start: TripleConfiguration, rng: np.random.Generator
-) -> SearchResult:
+def _random_start(rng: np.random.Generator) -> list[float]:
+    angles = []
+    for _ in range(3):
+        angles += (math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, TWO_PI))
+    return angles
+
+
+def local_search(search: SearchConfig, start, rng: np.random.Generator) -> SearchResult:
     """Backtracking gradient ascent on search.objective from one starting
-    configuration.
+    configuration (six angles in TripleConfiguration order).
 
     Candidates are accepted only on strict improvement, so the value
     trajectory is non-decreasing; the search stops once the remaining
     step times the gradient norm falls below search.step_tolerance.
     """
     kind = search.objective
-    x = _wrap_angles(start.as_array())
-    f = objective(kind, TripleConfiguration.from_array(x))
+    x = _wrap_angles(start)
+    f = objective(kind, x)
     trajectory = [f]
     converged = False
     for _ in range(search.max_iterations):
-        g = gradient(kind, TripleConfiguration.from_array(x))
-        g_norm = float(np.linalg.norm(g))
+        g = gradient(kind, x)
+        # np.linalg.norm's own steps
+        g_norm = math.sqrt(g.dot(g))
         if g_norm == 0.0:
             converged = True
             break
+        g = g.tolist()
         step = 0.5
         accepted = False
         while step * g_norm >= search.step_tolerance:
-            candidate = _reseed_poles(_wrap_angles(x + step * g), rng)
-            f_cand = objective(kind, TripleConfiguration.from_array(candidate))
+            candidate = _reseed_poles(_wrap_angles([v + step * d for v, d in zip(x, g)]), rng)
+            f_cand = objective(kind, candidate)
             if f_cand > f:
                 x, f = candidate, f_cand
                 trajectory.append(f)
@@ -211,11 +219,11 @@ def local_search(
         if not accepted:
             converged = True
             break
-    final = TripleConfiguration.from_array(x)
+    g = gradient(kind, x)
     return SearchResult(
-        configuration=final,
+        configuration=TripleConfiguration(*x),
         value=f,
-        gradient_norm=float(np.linalg.norm(gradient(kind, final))),
+        gradient_norm=math.sqrt(g.dot(g)),
         converged=converged,
         trajectory=tuple(trajectory),
     )
@@ -236,15 +244,12 @@ def maximize(search: SearchConfig, initial: TripleConfiguration | None = None) -
         if start_index == 0 and initial is not None:
             start = initial
         else:
-            start = TripleConfiguration.from_array(_random_start(rng))
+            start = _random_start(rng)
         result = local_search(search, start, rng)
         if (
             best is None
             or result.value > best.value
-            or (
-                result.value == best.value
-                and tuple(result.configuration.as_array()) < tuple(best.configuration.as_array())
-            )
+            or (result.value == best.value and result.configuration < best.configuration)
         ):
             best = result
     return best
@@ -269,17 +274,25 @@ def grid_oracle(kind: str, resolution: float) -> float:
     n_phi = max(1, int(round(TWO_PI / resolution)))
     theta_b = np.linspace(0.0, math.pi, n_theta)
     theta_c = np.linspace(0.0, math.pi, n_theta)
-    ab = np.cos(theta_b)[:, None]
-    ac = np.cos(theta_c)[None, :]
-    cos_cos = np.cos(theta_b)[:, None] * np.cos(theta_c)[None, :]
-    sin_sin = np.sin(theta_b)[:, None] * np.sin(theta_c)[None, :]
+    # every operand a full (n, n) array: numpy's broadcasting loops run slower
+    ab, ac = np.meshgrid(np.cos(theta_b), np.cos(theta_c), indexing="ij")
+    cos_cos = ab * ac
+    sin_sin = np.multiply.outer(np.sin(theta_b), np.sin(theta_c))
+    # the k-independent terms once, then each k's values in two reused buffers;
+    # the expressions associate left to right, as written per k
+    ab_ac, two_ac = ab - ac, 2.0 * ac
+    bc, values = np.empty_like(ab), np.empty_like(ab)
     best = -math.inf
     for k in range(n_phi):
-        bc = cos_cos + sin_sin * math.cos(k * TWO_PI / n_phi)
+        np.multiply(sin_sin, math.cos(k * TWO_PI / n_phi), out=bc)
+        bc += cos_cos
         if kind == "EQ16":
-            values = ab - ac + bc
+            np.add(ab_ac, bc, out=values)  # ab - ac + bc
         else:
-            values = ab + bc - 2.0 * ac + ab * bc
+            np.add(ab, bc, out=values)  # ab + bc - 2.0 * ac + ab * bc
+            values -= two_ac
+            bc *= ab
+            values += bc
         best = max(best, float(values.max()))
     return best
 

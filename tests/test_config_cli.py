@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ from seqbell import cli
 from seqbell.cli import main
 from seqbell.config import ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
-from seqbell.lhv import Setting
+from seqbell.inequalities import eq5_ratio, eval_eq4, evaluate_table
+from seqbell.lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
+from seqbell.reporting import fmt_value, kv_line
 from seqbell.search import SearchConfig
 
 SQRT2 = math.sqrt(2.0)
@@ -499,3 +502,73 @@ class TestDerivedLines:
         # the lhs16 stderr is `** 0.5`; a table where math.sqrt rounds
         # differently shows that this test would catch a switch
         assert roots_differ >= 1
+
+
+def reference_fmt_value(value):
+    """fmt_value as first written: a chain of isinstance tests."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return str(value.value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_report_body(table, hidden, sigma):
+    """The estimate, inequality and eq5 lines of a structured lhv report,
+    one kv_line call per line, keys written out per line."""
+    expectations, probs, reports = evaluate_table(table, sigma)
+    reports.append(eval_eq4(hidden, sigma))
+    sign = {1: "+", -1: "-"}
+    lines = []
+    estimates = [(f"E.{x.name}.{y.name}", est) for (x, y), est in expectations.items()]
+    estimates += [
+        (f"P.{x.name}{sign[sx]}.{y.name}{sign[sy]}", est) for (x, sx, y, sy), est in probs.items()
+    ]
+    for name, est in estimates:
+        prefix = f"estimate.{name}"
+        lines += [
+            kv_line(f"{prefix}.defined", est.defined),
+            kv_line(f"{prefix}.value", est.value),
+            kv_line(f"{prefix}.stderr", est.stderr),
+            kv_line(f"{prefix}.n", est.n_conditioning),
+            kv_line(f"{prefix}.low_stats", est.low_stats),
+        ]
+    for r in reports:
+        prefix = f"inequality.{r.inequality_id}"
+        lines.append(kv_line(f"{prefix}.defined", r.defined))
+        if r.defined:
+            fields = ("lhs", "rhs", "margin", "stderr_margin", "n_sigma", "sigma_threshold", "violated")
+            lines += [kv_line(f"{prefix}.{field}", getattr(r, field)) for field in fields]
+    for x, sx, y, sy in PAIR_MARGINAL_KEYS:
+        ratio = eq5_ratio(hidden, table, x, sx, y, sy)
+        prefix = f"eq5.{x.name}{sign[sx]}.{y.name}{sign[sy]}"
+        lines.append(kv_line(f"{prefix}.defined", ratio.defined))
+        if ratio.defined:
+            for field in ("ratio", "stderr", "marginal", "observed"):
+                lines.append(kv_line(f"{prefix}.{field}", getattr(ratio, field)))
+    return lines
+
+
+class TestReportFormatting:
+    def test_fmt_value_matches_isinstance_chain(self):
+        values = [0.1, 1e-300, math.nan, -math.inf, 3, -7, 2**70, True, False, np.float64(0.5)]
+        values += [np.int64(4), np.True_, Mode.FREE, Setting.B, Outcome.MINUS, "text", None]
+        for value in values:
+            assert fmt_value(value) == reference_fmt_value(value)
+
+    def test_lhv_report_lines_as_written_line_by_line(self):
+        config = ExperimentConfig(report_format="structured")
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            counts = rng.integers(0, (3, 30, 3000)[i % 3], size=(3, 3, 2, 2))
+            counts[rng.random((3, 3, 2, 2)) < 0.3] = 0
+            hidden = rng.integers(0, 2000, size=8) * (rng.random(8) < 0.7)
+            table, hidden = RunCountTable(counts), HiddenCountTable(hidden)
+            text = cli.build_simulate_report(config, SimpleNamespace(table=table, hidden=hidden))
+            body = [
+                line for line in text.splitlines()
+                if line.startswith(("estimate.", "inequality.", "eq5."))
+            ]
+            assert body == reference_report_body(table, hidden, config.sigma), f"table {i}"

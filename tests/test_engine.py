@@ -19,6 +19,7 @@ from seqbell.cli import main
 from seqbell.config import parse_config
 from seqbell.engine import (
     ConfigError,
+    EnsembleResult,
     Mode,
     Model,
     ProtocolConfig,
@@ -687,6 +688,38 @@ class TestEstimators:
         assert estimate_pair_prob(table, A, PLUS, B, PLUS).low_stats
         assert not estimate_pair_prob(table, A, MINUS, B, MINUS).low_stats
 
+    def test_integer_and_integral_float_counts_kept(self):
+        assert RunCountTable(np.full((3, 3, 2, 2), 4)).total_runs == 144
+        table = RunCountTable(np.full((3, 3, 2, 2), 2.0))
+        assert table.counts.dtype == np.int64 and table.total_runs == 72
+
+    @pytest.mark.parametrize("bad", [1.9, np.nan, -np.inf])
+    def test_fractional_counts_rejected(self, bad):
+        # the int64 cast used to truncate 1.9 to 1 without a word
+        with pytest.raises(ValueError, match="whole numbers"):
+            RunCountTable(np.full((3, 3, 2, 2), bad))
+
+    def test_accessors_read_the_array(self, rng):
+        # every accessor against the count array indexed directly
+        counts = rng.integers(0, 2**40, size=(3, 3, 2, 2))
+        table = RunCountTable(counts)
+        assert table.total_runs == int(counts.sum())
+        for x, y in itertools.product(Setting, Setting):
+            assert table.pair_counts(x, y) == counts[x, y].ravel().tolist()
+            assert table.pair_total(int(x), int(y)) == int(counts[x, y].sum())
+            for sx, sy in itertools.product(OUTCOMES, OUTCOMES):
+                expected = int(counts[x, y, int(sx < 0), int(sy < 0)])
+                assert table.count(x, sx, y, sy) == expected
+                assert table.count(int(x), int(sx), int(y), int(sy)) == expected
+        same = sum(int(counts[s, s].sum()) for s in Setting)
+        agree = sum(int(counts[s, s, 0, 0] + counts[s, s, 1, 1]) for s in Setting)
+        assert table.same_setting_totals() == (same, agree)
+
+    @pytest.mark.parametrize("key", [(3, 1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1), (0, 1, 2, 2)])
+    def test_unknown_setting_or_sign_rejected(self, key):
+        with pytest.raises(ValueError):
+            RunCountTable.zero().count(*key)
+
     def test_lhv_point_mass_pair_prob_is_one(self):
         dist = point_mass("a+b-c+")
         result = run_ensemble(lhv_config(dist=dist, n_runs=20000, seed=3))
@@ -865,3 +898,80 @@ class TestExports:
         write_run_log(result, buf)
         fields = buf.getvalue().strip().split("\n")[1].split(",")
         assert fields[3] == "" and fields[4] == ""
+
+
+def reference_run_log(result, fileobj):
+    """The run log as first written: one Python string per row."""
+    config = result.config
+    prep = (
+        f"{config.prep_setting.name},{int(config.prep_sign):+d}"
+        if config.mode is Mode.PREPARED
+        else ","
+    )
+    head = f",{config.mode.value},{config.model.value},{prep},"
+    tails = [f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in engine._CELLS]
+    if config.model is Model.LHV:
+        tails = [tails[cell] for cell in engine._LHV_CELLS]
+    fileobj.write(
+        "run_id,mode,model,prep_setting,prep_sign,"
+        "first_setting,first_outcome,second_setting,second_outcome\n"
+    )
+    kernel, start = engine._series_kernel(config), 0
+    for i, size in enumerate(engine._chunk_plan(config.n_runs, config.chunk_size)):
+        keys = engine._draw_chunk(config, kernel, result.series, i, size).tolist()
+        run_ids = map(str, range(start, start + size))
+        fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, keys)))
+        start += size
+
+
+def _log_cases():
+    # chunks of 7 runs: the run ids cross 9 -> 10, 99 -> 100 and 999 -> 1000
+    # inside a chunk, and the last chunk is partial
+    dist = TripleDistribution(np.arange(1.0, 9.0))
+    cases = [
+        quantum_config(n_runs=1005, chunk_size=7, seed=5, state=PureState(0.6, 1.0, Z_AXIS)),
+        lhv_config(dist=dist, n_runs=1005, chunk_size=7, seed=5),
+    ]
+    prepared = [replace(c, mode=Mode.PREPARED, prep_setting=B, prep_sign=MINUS) for c in cases]
+    return cases + prepared
+
+
+class TestRunLogBlocks:
+    @pytest.mark.parametrize("config", _log_cases())
+    def test_same_bytes_as_row_by_row_writer(self, config):
+        for series in (0, 1):
+            result = EnsembleResult(config, RunCountTable.zero(), None, series=series)
+            ours, ref = io.StringIO(), io.StringIO()
+            write_run_log(result, ours)
+            reference_run_log(result, ref)
+            assert ours.getvalue() == ref.getvalue()
+            assert ours.getvalue().count("\n") == 1006
+
+    def test_blocks_split_at_block_size_and_powers_of_ten(self):
+        # ids 9990..10009 straddle a width change inside one chunk
+        config = quantum_config(n_runs=10_010, chunk_size=10_010)
+        ours, ref = io.StringIO(), io.StringIO()
+        write_run_log(EnsembleResult(config, RunCountTable.zero(), None), ours)
+        reference_run_log(EnsembleResult(config, RunCountTable.zero(), None), ref)
+        assert ours.getvalue() == ref.getvalue()
+
+    def test_memory_bounded_at_largest_chunk(self, monkeypatch):
+        # the writer's own memory, beyond the chunk's keys, must not grow
+        # with the chunk: one 2^22-run chunk, its keys drawn beforehand
+        config = quantum_config(n_runs=2**22, chunk_size=2**22)
+        keys = engine._draw_chunk(config, engine._series_kernel(config), 0, 0, 2**22)
+        monkeypatch.setattr(engine, "_draw_chunk", lambda *task: keys)
+        rows = [0]
+
+        class Sink:
+            def write(self, text):
+                rows[0] += text.count("\n")
+
+        tracemalloc.start()
+        try:
+            write_run_log(EnsembleResult(config, RunCountTable.zero(), None), Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[0] == 2**22 + 1
+        assert peak < 4 * 2**20

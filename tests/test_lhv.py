@@ -145,7 +145,28 @@ class TestTripleDistribution:
         assert dict(zip(TRIPLE_LABELS, dist.weights)) == pytest.approx(mapping)
 
 
+def mask_sum_marginal(table, x, sx, y, sy, literal_eq3=False):
+    """hidden_marginal as first written: a boolean mask over the 8 realities."""
+    B, C, PLUS, MINUS = Setting.B, Setting.C, Outcome.PLUS, Outcome.MINUS
+    if literal_eq3 and {x, y} == {B, C} and {(x, sx), (y, sy)} == {(B, PLUS), (C, MINUS)}:
+        mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, C] == -1)
+    else:
+        mask = (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
+    return int(table.counts[mask].sum())
+
+
 class TestHiddenMarginals:
+    def test_matches_mask_sums(self, rng):
+        for counts in rng.integers(0, 2**40, size=(200, 8)):
+            table = HiddenCountTable(counts)
+            for key in PAIR_MARGINAL_KEYS:
+                for literal_eq3 in (False, True):
+                    assert hidden_marginal(table, *key, literal_eq3=literal_eq3) == (
+                        mask_sum_marginal(table, *key, literal_eq3)
+                    )
+                # plain ints name the same settings and signs
+                assert hidden_marginal(table, *map(int, key)) == mask_sum_marginal(table, *key)
+
     def test_single_cell_sums(self):
         table = count_table({"a+b-c-": 5})
         assert hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) == 5
@@ -189,6 +210,11 @@ class TestHiddenMarginals:
         with pytest.raises(ValueError):
             hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.A, Outcome.PLUS)
 
+    @pytest.mark.parametrize("key", [(3, 1, 0, 1), (-1, 1, 0, 1), (0, 0, 1, 1), (0, 1, 2, 2)])
+    def test_unknown_setting_or_sign_rejected(self, key):
+        with pytest.raises(ValueError):
+            hidden_marginal(HiddenCountTable(np.ones(8, dtype=np.int64)), *key)
+
 
 class TestCountInequality:
     def test_single_cell_margin_zero(self):
@@ -224,6 +250,17 @@ class TestCountInequality:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             HiddenCountTable(np.array([-1, 0, 0, 0, 0, 0, 0, 0]))
+
+    def test_integer_and_integral_float_counts_kept(self):
+        assert HiddenCountTable([3] * 8).counts.tolist() == [3] * 8
+        table = HiddenCountTable([2.0] * 8)
+        assert table.counts.dtype == np.int64 and table.counts.tolist() == [2] * 8
+
+    @pytest.mark.parametrize("bad", [2.7, np.nan, np.inf])
+    def test_fractional_counts_rejected(self, bad):
+        # the int64 cast used to truncate 2.7 to 2 without a word
+        with pytest.raises(ValueError, match="whole numbers"):
+            HiddenCountTable([bad] * 8)
 
 
 class TestLhvClosedForms:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seqbell import search
 from seqbell.inequalities import lhs16, lhs18
 from seqbell.search import (
     SearchConfig,
@@ -244,3 +245,162 @@ class TestGridOracle:
             grid_best = grid_oracle(kind, 3 * ONE_DEGREE)
             assert search_best >= grid_best - 1e-3
             assert search_best <= GLOBAL_MAX[kind] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the search as first written, on Direction objects and numpy 3-vectors: the
+# float rewrite must reproduce it bit for bit
+
+
+def reference_objective(kind, config):
+    a, b, c = config.directions()
+    return lhs16(a, b, c) if kind == "EQ16" else lhs18(a, b, c)
+
+
+def _reference_sph_and_jacobian(theta, phi):
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    d = np.array([st * cp, st * sp, ct])
+    d_theta = np.array([ct * cp, ct * sp, -st])
+    d_phi = np.array([-st * sp, st * cp, 0.0])
+    return d, d_theta, d_phi
+
+
+def reference_gradient(kind, config):
+    t = config.as_array()
+    a, da_t, da_p = _reference_sph_and_jacobian(t[0], t[1])
+    b, db_t, db_p = _reference_sph_and_jacobian(t[2], t[3])
+    c, dc_t, dc_p = _reference_sph_and_jacobian(t[4], t[5])
+    if kind == "EQ16":
+        ga, gb, gc = b - c, a + c, b - a
+    else:
+        ab = float(a @ b)
+        bc = float(b @ c)
+        ga = b * (1.0 + bc) - 2.0 * c
+        gb = a * (1.0 + bc) + c * (1.0 + ab)
+        gc = b * (1.0 + ab) - 2.0 * a
+    return np.array([ga @ da_t, ga @ da_p, gb @ db_t, gb @ db_p, gc @ dc_t, gc @ dc_p])
+
+
+def _reference_wrap(angles):
+    out = angles.copy()
+    for i in (0, 2, 4):
+        theta = out[i] % (2 * math.pi)
+        phi = out[i + 1]
+        if theta > math.pi:
+            theta = 2 * math.pi - theta
+            phi += math.pi
+        out[i] = theta
+        out[i + 1] = phi % (2 * math.pi)
+    return out
+
+
+def _reference_reseed(angles, rng):
+    out = angles
+    for i in (0, 2, 4):
+        if abs(math.sin(out[i])) < search.POLE_EPSILON:
+            if out is angles:
+                out = angles.copy()
+            out[i + 1] = rng.uniform(0.0, 2 * math.pi)
+    return out
+
+
+def reference_local_search(settings, start, rng):
+    kind = settings.objective
+    x = _reference_wrap(start.as_array())
+    f = reference_objective(kind, TripleConfiguration.from_array(x))
+    trajectory, converged = [f], False
+    for _ in range(settings.max_iterations):
+        g = reference_gradient(kind, TripleConfiguration.from_array(x))
+        g_norm = float(np.linalg.norm(g))
+        if g_norm == 0.0:
+            converged = True
+            break
+        step, accepted = 0.5, False
+        while step * g_norm >= settings.step_tolerance:
+            candidate = _reference_reseed(_reference_wrap(x + step * g), rng)
+            f_cand = reference_objective(kind, TripleConfiguration.from_array(candidate))
+            if f_cand > f:
+                x, f = candidate, f_cand
+                trajectory.append(f)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+    final = TripleConfiguration.from_array(x)
+    return final, f, float(np.linalg.norm(reference_gradient(kind, final))), converged, trajectory
+
+
+def reference_grid(kind, resolution):
+    n_theta = int(round(math.pi / resolution)) + 1
+    n_phi = max(1, int(round(2 * math.pi / resolution)))
+    theta = np.linspace(0.0, math.pi, n_theta)
+    ab = np.cos(theta)[:, None]
+    ac = np.cos(theta)[None, :]
+    cos_cos = np.cos(theta)[:, None] * np.cos(theta)[None, :]
+    sin_sin = np.sin(theta)[:, None] * np.sin(theta)[None, :]
+    best = -math.inf
+    for k in range(n_phi):
+        bc = cos_cos + sin_sin * math.cos(k * 2 * math.pi / n_phi)
+        if kind == "EQ16":
+            values = ab - ac + bc
+        else:
+            values = ab + bc - 2.0 * ac + ab * bc
+        best = max(best, float(values.max()))
+    return best
+
+
+def _angle_sets(n):
+    """n random angle sextuples; some thetas at exactly 0 or pi, some angles
+    outside [0, 2*pi)."""
+    rng = np.random.default_rng(4401)
+    angles = rng.uniform(-7.0, 14.0, size=(n, 6))
+    thetas = angles[:, ::2]
+    thetas[rng.random(thetas.shape) < 0.2] = 0.0
+    thetas[rng.random(thetas.shape) < 0.2] = math.pi
+    return angles
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", ["EQ16", "EQ18"])
+    def test_objective_and_gradient_bit_for_bit(self, kind):
+        for row in _angle_sets(10_000):
+            config = TripleConfiguration.from_array(row)
+            assert objective(kind, config) == reference_objective(kind, config)
+            assert gradient(kind, config).tobytes() == reference_gradient(kind, config).tobytes()
+
+    def test_stacked_matmul_rounds_as_per_row_matmul(self):
+        rng = np.random.default_rng(4402)
+        left, right = rng.normal(size=(2, 20_000, 3))
+        per_row = np.array([u @ v for u, v in zip(left, right)])
+        assert search._stacked_dots(left.tolist(), right.tolist()).tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_objective_rejects_non_finite_angle(self, bad):
+        for i in range(6):
+            angles = [0.3, 1.0, 0.7, 2.0, 1.1, 4.0]
+            angles[i] = bad
+            with pytest.raises(ValueError):
+                objective("EQ16", angles)
+
+    @pytest.mark.parametrize("kind", ["EQ16", "EQ18"])
+    def test_local_search_trajectories_bit_for_bit(self, kind):
+        settings = SearchConfig(objective=kind)
+        starts = [reference_configuration(kind), TripleConfiguration(0.0, 1.0, math.pi, 2.0, 0.5, 3.0)]
+        stream = np.random.default_rng(4403)
+        starts += [random_config(stream) for _ in range(8)]
+        for seed, start in enumerate(starts):
+            result = local_search(settings, start, np.random.default_rng(seed))
+            final, value, g_norm, converged, trajectory = reference_local_search(
+                settings, start, np.random.default_rng(seed)
+            )
+            assert result.configuration == final
+            assert (result.value, result.gradient_norm, result.converged) == (value, g_norm, converged)
+            assert result.trajectory == tuple(trajectory)
+
+    @pytest.mark.parametrize("kind", ["EQ16", "EQ18"])
+    @pytest.mark.parametrize("resolution", [ONE_DEGREE, 0.005, 3 * ONE_DEGREE])
+    def test_grid_oracle_bit_for_bit(self, kind, resolution):
+        assert grid_oracle(kind, resolution) == reference_grid(kind, resolution)
