@@ -42,7 +42,7 @@ from .inequalities import (
 )
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
-from .reporting import InequalityReport, kv_line, kv_lines, report_lines, report_table_row
+from .reporting import InequalityReport, inequality_row, render
 from .search import (
     OBJECTIVE_KINDS,
     SearchConfig,
@@ -65,7 +65,15 @@ def _keys(prefix: str, fields) -> tuple[str, ...]:
     return tuple(f"{prefix}.{field} = " for field in fields)
 
 
-# the structured keys of the estimate and eq5 blocks, built once
+def _estimate_templates(label: str, sign: str) -> tuple[str, str]:
+    """The tabular templates of an estimate row, plain and flagged low_stats."""
+    template = f"  {label} = {{1:{sign}.6f}} +/- {{2:.6f}}  [n={{3}}]"
+    return template, template + "  [low statistics]"
+
+
+# the structured keys and tabular templates of every report row, built once;
+# an estimate row's values are (defined, value, stderr, n, low_stats), an
+# eq5 row's (defined, ratio, stderr, marginal, observed)
 _ESTIMATE_FIELDS = ("defined", "value", "stderr", "n", "low_stats")
 _E_KEYS = {(x, y): _keys(f"estimate.E.{x.name}.{y.name}", _ESTIMATE_FIELDS) for x, y in PAIRS}
 _P_KEYS = {key: _keys(f"estimate.P.{_prob_key(*key)}", _ESTIMATE_FIELDS) for key in ALL_PROBS}
@@ -73,38 +81,46 @@ _EQ5_KEYS = {
     key: _keys(f"eq5.{_prob_key(*key)}", ("defined", "ratio", "stderr", "marginal", "observed"))
     for key in PAIR_MARGINAL_KEYS
 }
+_E_TEMPLATES = {(x, y): _estimate_templates(f"E({x.name},{y.name})", "+") for x, y in PAIRS}
+_P_TEMPLATES = {key: _estimate_templates(f"P({_prob_key(*key, sep=',')})", "") for key in ALL_PROBS}
+_EQ5_TEMPLATES = {
+    key: f"  9 N[{_prob_key(*key, sep='')}] / N(...) = {{1:.6f}} +/- {{2:.6f}}" for key in ALL_PROBS
+}
+_PROB_ROWS = {
+    key: (f"  P({_prob_key(*key, sep=',')}) = {{:.9f}}", (f"prob.P.{_prob_key(*key)} = ",))
+    for key in ALL_PROBS
+}
+_DOT_KEYS = _keys("dot", ("ab", "bc", "ac"))
+_SAME_KEYS = _keys("result", ("same_setting_runs", "same_setting_agreement"))
+_SERIES_KEYS = _keys("result", ("series_plus_runs", "series_minus_runs"))
+_LHS16_KEYS = _keys("derived.lhs16", ("value", "stderr"))
+_LHS18_KEYS = _keys("derived.lhs18", ("value", "stderr"))
+_DIRECTION_TEMPLATES = tuple(f"  {name} = ({{:+.6f}}, {{:+.6f}}, {{:+.6f}})" for name in "abc")
+_SEARCH_DIRECTION_KEYS = tuple(_keys(f"search.directions.{name}", "xyz") for name in "abc")
+_ANGLES = ("theta_a", "phi_a", "theta_b", "phi_b", "theta_c", "phi_c")
+_ANGLE_KEYS = _keys("search.angles", _ANGLES)
+_SEARCH_FIELDS = ("n_starts", "seed", "step_tolerance", "max_iterations")
+_SEARCH_KEYS = _keys("search", (*_SEARCH_FIELDS, "reference_start"))
+_GRID_KEYS = _keys("grid", ("resolution", "value"))
+_BLANK = ("", (), ())
 
 
-def _direction_lines(directions) -> list[str]:
-    return [f"  {n} = ({d.x:+.6f}, {d.y:+.6f}, {d.z:+.6f})" for n, d in zip("abc", directions)]
+def _text(line: str) -> tuple:
+    """A tabular-only row of constant text; a leading newline leaves a blank
+    line above it."""
+    return line, (), ()
 
 
-# ---------------------------------------------------------------------------
-# shared report pieces
+def _estimate_rows(estimates: dict, keys: dict, templates: dict, flag_low_stats=True) -> list:
+    rows = []
+    for key, est in estimates.items():
+        values = (est.defined, est.value, est.stderr, est.n_conditioning, est.low_stats)
+        rows.append((templates[key][flag_low_stats and est.low_stats], keys[key], values))
+    return rows
 
 
-def _structured(command: str, config: ExperimentConfig | None, lines: list[str]) -> str:
-    """A structured report: the header, the config block if any, then lines."""
-    head = ["format = structured", f"command = {command}"]
-    if config is not None:
-        head.append(kv_line("config.digest", config.digest()))
-        head += [f"config.{line}" for line in config.protocol_lines()]
-    return "\n".join(head + lines) + "\n"
-
-
-def _estimate_lines(keys: tuple[str, ...], est) -> list[str]:
-    return kv_lines(keys, (est.defined, est.value, est.stderr, est.n_conditioning, est.low_stats))
-
-
-def _estimate_row(label: str, value: str, est, flag_low_stats: bool = True) -> str:
-    flag = "  [low statistics]" if flag_low_stats and est.low_stats else ""
-    return f"  {label} = {value} +/- {est.stderr:.6f}  [n={est.n_conditioning}]{flag}"
-
-
-def _inequality_lines(reports, structured: bool) -> list[str]:
-    if structured:
-        return [line for r in reports for line in report_lines(r, f"inequality.{r.inequality_id}")]
-    return ["  " + report_table_row(r) for r in reports]
+def _direction_rows(directions, keys=((), (), ())) -> list:
+    return [(t, k, (d.x, d.y, d.z)) for t, k, d in zip(_DIRECTION_TEMPLATES, keys, directions)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,51 +138,35 @@ def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, f
 def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
     a, b, c = config.directions
     sigma = config.sigma
+    ab, bc, ac = dot(a, b), dot(b, c), dot(a, c)
     reports = [
         eq16_report(a, b, c, sigma),
         eq18_report(a, b, c, sigma),
-        InequalityReport("EQ10", dot(a, b) + dot(b, c) - dot(a, c), 1.0, sigma_threshold=sigma),
+        InequalityReport("EQ10", ab + bc - ac, 1.0, sigma_threshold=sigma),
     ]
     probs = _exact_pair_probs(config, use_prep)
     triplets = [
         InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
         for eq, (lhs, rhs1, rhs2) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS))
     ]
-
-    if config.report_format == "structured":
-        lines = [
-            kv_line("predict.prep_state_used", use_prep),
-            kv_line("dot.ab", dot(a, b)),
-            kv_line("dot.bc", dot(b, c)),
-            kv_line("dot.ac", dot(a, c)),
-            kv_line("closed.lhs16", lhs16(a, b, c)),
-            kv_line("closed.lhs18", lhs18(a, b, c)),
-        ]
-        lines += _inequality_lines(reports, structured=True)
-        lines += [kv_line(f"prob.P.{_prob_key(*key)}", value) for key, value in probs.items()]
-        lines += _inequality_lines(triplets, structured=True)
-        return _structured("predict", config, lines)
-
-    lines = [
-        "exact predictions (no sampling)",
-        f"config digest: {config.digest()}",
-        *_direction_lines(config.directions),
-        f"  a.b = {dot(a, b):+.9f}   b.c = {dot(b, c):+.9f}   a.c = {dot(a, c):+.9f}",
-        "",
-        f"lhs16 = {lhs16(a, b, c):.15f}",
-        f"lhs18 = {lhs18(a, b, c):.15f}",
-        "",
-        "inequalities (closed form):",
-    ]
-    lines += _inequality_lines(reports, structured=False)
     source = "preparation eigenstate" if use_prep else (
         "configured state" if config.model is Model.QUANTUM else "configured weights"
     )
-    lines += ["", f"pair probabilities from the {source}:"]
-    lines += [f"  P({_prob_key(*key, sep=',')}) = {value:.9f}" for key, value in probs.items()]
-    lines += ["", "inequalities (probability form):"]
-    lines += _inequality_lines(triplets, structured=False)
-    return "\n".join(lines) + "\n"
+    rows = [
+        (None, ("predict.prep_state_used = ",), (use_prep,)),
+        *_direction_rows(config.directions),
+        ("  a.b = {:+.9f}   b.c = {:+.9f}   a.c = {:+.9f}", _DOT_KEYS, (ab, bc, ac)),
+        _BLANK,
+        ("lhs16 = {:.15f}", ("closed.lhs16 = ",), (lhs16(a, b, c),)),
+        ("lhs18 = {:.15f}", ("closed.lhs18 = ",), (lhs18(a, b, c),)),
+        _text("\ninequalities (closed form):"),
+        *map(inequality_row, reports),
+        _text(f"\npair probabilities from the {source}:"),
+        *[(*_PROB_ROWS[key], (value,)) for key, value in probs.items()],
+        _text("\ninequalities (probability form):"),
+        *map(inequality_row, triplets),
+    ]
+    return render(config.report_format, "predict", "exact predictions (no sampling)", config, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,8 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
 
 
 def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -> str:
-    structured = config.report_format == "structured"
     if result_minus is not None:
-        return _build_two_series_report(config, result, result_minus, structured)
+        return _build_two_series_report(config, result, result_minus)
     table, hidden = result.table, result.hidden
     expectations, probs, reports = evaluate_table(table, config.sigma)
     _, eq7, _, eq10 = reports
@@ -189,94 +188,47 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
     lhs18_est = 1.0 - 4.0 * eq7.margin
     lhs18_err = 4.0 * eq7.stderr_margin if eq7.defined else float("nan")
 
-    if structured:
-        lines = [
-            kv_line("result.total_runs", table.total_runs),
-            kv_line("result.same_setting_runs", same),
-            kv_line("result.same_setting_agreement", agree / same if same else float("nan")),
-        ]
-        for pair, est in expectations.items():
-            lines += _estimate_lines(_E_KEYS[pair], est)
-        for key, prob in probs.items():
-            lines += _estimate_lines(_P_KEYS[key], prob)
-        lines += [
-            kv_line("derived.lhs16.value", eq10.lhs),
-            kv_line("derived.lhs16.stderr", lhs16_err),
-            kv_line("derived.lhs18.value", lhs18_est),
-            kv_line("derived.lhs18.stderr", lhs18_err),
-        ]
-        lines += _inequality_lines(reports, structured=True)
-        if hidden is not None:
-            for key in PAIR_MARGINAL_KEYS:
-                ratio = eq5_ratio(hidden, table, *key)
-                values = (True, *ratio) if ratio.defined else (False,)
-                lines += kv_lines(_EQ5_KEYS[key], values)
-        return _structured("simulate", config, lines)
-
-    lines = [
-        f"run ensemble report ({config.model.value}, {config.mode.value} mode)",
-        f"config digest: {config.digest()}",
-        f"runs: {table.total_runs}   seed: {config.seed}",
-        f"same-setting runs: {same}   agreement: "
-        + (f"{agree / same:.6f}" if same else "undefined"),
-        "",
-        "expectation estimates:",
+    rows = [
+        ("runs: {}   seed: {}", ("result.total_runs = ",), (table.total_runs, config.seed)),
+        ("same-setting runs: {}   agreement: {:.6f}", _SAME_KEYS, (same, agree / same))
+        if same
+        else ("same-setting runs: {}   agreement: undefined", _SAME_KEYS, (same, float("nan"))),
+        _text("\nexpectation estimates:"),
+        *_estimate_rows(expectations, _E_KEYS, _E_TEMPLATES),
+        _text("\npair probability estimates:"),
+        *_estimate_rows(probs, _P_KEYS, _P_TEMPLATES),
+        _BLANK,
+        ("derived lhs16 = {:+.6f} +/- {:.6f}", _LHS16_KEYS, (eq10.lhs, lhs16_err)),
+        ("derived lhs18 = {:+.6f} +/- {:.6f}", _LHS18_KEYS, (lhs18_est, lhs18_err)),
+        _text("\ninequalities:"),
+        *map(inequality_row, reports),
     ]
-    lines += [
-        _estimate_row(f"E({x.name},{y.name})", f"{est.value:+.6f}", est)
-        for (x, y), est in expectations.items()
-    ]
-    lines += ["", "pair probability estimates:"]
-    lines += [
-        _estimate_row(f"P({_prob_key(*key, sep=',')})", f"{prob.value:.6f}", prob)
-        for key, prob in probs.items()
-    ]
-    lines += [
-        "",
-        f"derived lhs16 = {eq10.lhs:+.6f} +/- {lhs16_err:.6f}",
-        f"derived lhs18 = {lhs18_est:+.6f} +/- {lhs18_err:.6f}",
-        "",
-        "inequalities:",
-    ]
-    lines += _inequality_lines(reports, structured=False)
     if hidden is not None:
-        lines += ["", "sampling-factor ratios (expected 1):"]
-        for key in ALL_PROBS:
-            ratio = eq5_ratio(hidden, table, *key)
-            if ratio.defined:
-                lines.append(
-                    f"  9 N[{_prob_key(*key, sep='')}] / N(...) = "
-                    f"{ratio.ratio:.6f} +/- {ratio.stderr:.6f}"
-                )
-    return "\n".join(lines) + "\n"
+        # all 24 ratios in the structured report; the defined ones of the six
+        # inequality probabilities in the tabular one
+        ratios = {key: eq5_ratio(hidden, table, *key) for key in PAIR_MARGINAL_KEYS}
+        values = {key: (True, *r) if r.defined else (False,) for key, r in ratios.items()}
+        rows += [(None, _EQ5_KEYS[key], v) for key, v in values.items()]
+        rows.append(_text("\nsampling-factor ratios (expected 1):"))
+        rows += [(_EQ5_TEMPLATES[key], (), values[key]) for key in ALL_PROBS if values[key][0]]
+    title = f"run ensemble report ({config.model.value}, {config.mode.value} mode)"
+    return render(config.report_format, "simulate", title, config, rows)
 
 
-def _build_two_series_report(config, plus, minus, structured) -> str:
+def _build_two_series_report(config, plus, minus) -> str:
     estimates = {(x, y): two_series_estimate(plus.table, minus.table, x, y) for (x, y) in PAIRS}
     eq10 = eval_eq10(*estimates.values(), config.sigma)
-    if structured:
-        lines = [
-            kv_line("result.series_plus_runs", plus.table.total_runs),
-            kv_line("result.series_minus_runs", minus.table.total_runs),
-        ]
-        for pair, est in estimates.items():
-            lines += _estimate_lines(_E_KEYS[pair], est)
-        lines.append(kv_line("derived.lhs16.value", eq10.lhs))  # nan when undefined
-        lines += _inequality_lines([eq10], structured=True)
-        return _structured("simulate", config, lines)
-    lines = [
-        f"two-series report ({config.model.value})",
-        f"config digest: {config.digest()}",
-        f"series runs: {plus.table.total_runs} (+1 series), {minus.table.total_runs} (-1 series)",
-        "",
-        "combined expectation estimates:",
+    plus_runs, minus_runs = plus.table.total_runs, minus.table.total_runs
+    rows = [
+        ("series runs: {} (+1 series), {} (-1 series)", _SERIES_KEYS, (plus_runs, minus_runs)),
+        _text("\ncombined expectation estimates:"),
+        *_estimate_rows(estimates, _E_KEYS, _E_TEMPLATES, flag_low_stats=False),
+        (None, _LHS16_KEYS, (eq10.lhs,)),  # the value only; nan when undefined
+        _BLANK,
+        inequality_row(eq10),
     ]
-    lines += [
-        _estimate_row(f"E({x.name},{y.name})", f"{est.value:+.6f}", est, flag_low_stats=False)
-        for (x, y), est in estimates.items()
-    ]
-    lines += [""] + _inequality_lines([eq10], structured=False)
-    return "\n".join(lines) + "\n"
+    title = f"two-series report ({config.model.value})"
+    return render(config.report_format, "simulate", title, config, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,51 +242,25 @@ def build_optimize_report(config: ExperimentConfig, settings: SearchConfig, use_
     grid_value = grid_oracle(kind, settings.grid_resolution)
     reference_value = objective(kind, reference_configuration(kind))
     discrepancy = result.value < grid_value - 1e-3
-    directions = result.configuration.directions()
-
-    if config.report_format == "structured":
-        lines = [
-            kv_line("objective", kind),
-            kv_line("search.n_starts", settings.n_starts),
-            kv_line("search.seed", settings.seed),
-            kv_line("search.step_tolerance", settings.step_tolerance),
-            kv_line("search.max_iterations", settings.max_iterations),
-            kv_line("search.reference_start", use_reference_start),
-            kv_line("search.value", result.value),
-            kv_line("search.gradient_norm", result.gradient_norm),
-            kv_line("search.converged", result.converged),
-        ]
-        lines += [
-            kv_line(f"search.angles.{name}", getattr(result.configuration, name))
-            for name in ("theta_a", "phi_a", "theta_b", "phi_b", "theta_c", "phi_c")
-        ]
-        lines += [
-            kv_line(f"search.directions.{name}.{axis}", getattr(d, axis))
-            for name, d in zip("abc", directions)
-            for axis in "xyz"
-        ]
-        lines += [
-            kv_line("grid.resolution", settings.grid_resolution),
-            kv_line("grid.value", grid_value),
-            kv_line("reference_point.value", reference_value),
-            kv_line("discrepancy", discrepancy),
-        ]
-        return _structured("optimize", None, lines)
-
-    lines = [
-        f"violation search for {kind}",
-        f"multi-start ascent: {settings.n_starts} starts, seed {settings.seed}"
-        + (", first start at the reference configuration" if use_reference_start else ""),
-        f"  best value      = {result.value:.12f}",
-        f"  gradient norm   = {result.gradient_norm:.3e}",
-        f"  converged       = {result.converged}",
-        *_direction_lines(directions),
-        f"grid oracle at {settings.grid_resolution:.6f} rad = {grid_value:.12f}",
-        f"reference configuration value = {reference_value:.12f}",
+    start = ", first start at the reference configuration" if use_reference_start else ""
+    warning = "WARNING: multi-start result trails the grid oracle by more than 1e-3"
+    rows = [
+        ("violation search for {}", ("objective = ",), (kind,)),
+        (
+            "multi-start ascent: {} starts, seed {}" + start,
+            _SEARCH_KEYS,
+            (*[getattr(settings, name) for name in _SEARCH_FIELDS], use_reference_start),
+        ),
+        ("  best value      = {:.12f}", ("search.value = ",), (result.value,)),
+        ("  gradient norm   = {:.3e}", ("search.gradient_norm = ",), (result.gradient_norm,)),
+        ("  converged       = {}", ("search.converged = ",), (result.converged,)),
+        (None, _ANGLE_KEYS, tuple(getattr(result.configuration, name) for name in _ANGLES)),
+        *_direction_rows(result.configuration.directions(), _SEARCH_DIRECTION_KEYS),
+        ("grid oracle at {:.6f} rad = {:.12f}", _GRID_KEYS, (settings.grid_resolution, grid_value)),
+        ("reference configuration value = {:.12f}", ("reference_point.value = ",), (reference_value,)),
+        (warning if discrepancy else None, ("discrepancy = ",), (discrepancy,)),
     ]
-    if discrepancy:
-        lines.append("WARNING: multi-start result trails the grid oracle by more than 1e-3")
-    return "\n".join(lines) + "\n"
+    return render(config.report_format, "optimize", None, None, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +346,14 @@ def cmd_optimize(args) -> int:
 def cmd_verify(args) -> int:
     results = run_verification(seed=args.seed, literal_eq3=args.use_literal_eq3)
     all_ok = all(r.passed for r in results)
-    if args.format == "structured":
-        lines = [kv_line("seed", args.seed)]
-        for r in results:
-            lines.append(kv_line(f"check.{r.name}", "pass" if r.passed else "fail"))
-            lines.append(kv_line(f"check.{r.name}.detail", r.detail))
-        lines.append(kv_line("verify.ok", all_ok))
-        sys.stdout.write(_structured("verify", None, lines))
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(f"{status}  {r.name:<30} {r.detail}\n")
-        sys.stdout.write(("all checks passed" if all_ok else "SOME CHECKS FAILED") + "\n")
+    rows = [(None, ("seed = ",), (args.seed,))]
+    for r in results:
+        status = "pass" if r.passed else "fail"
+        keys = (f"check.{r.name} = ", f"check.{r.name}.detail = ")
+        rows.append(("{2}  {3:<30} {1}", keys, (status, r.detail, status.upper(), r.name)))
+    verdict = "all checks passed" if all_ok else "SOME CHECKS FAILED"
+    rows.append((verdict, ("verify.ok = ",), (all_ok,)))
+    sys.stdout.write(render(args.format, "verify", None, None, rows))
     return 0 if all_ok else 1
 
 

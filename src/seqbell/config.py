@@ -103,8 +103,12 @@ class ExperimentConfig(ProtocolConfig):
             ]
         return "\n".join(lines) + "\n"
 
-    def digest(self) -> str:
-        payload = "\n".join(self.protocol_lines()).encode()
+    def digest(self, protocol_lines: list[str] | None = None) -> str:
+        """The protocol's hash; pass the lines of protocol_lines() when they
+        are already built."""
+        if protocol_lines is None:
+            protocol_lines = self.protocol_lines()
+        payload = "\n".join(protocol_lines).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
 

@@ -1,12 +1,14 @@
-"""Inequality verdicts and deterministic report formatting primitives.
+"""Inequality verdicts, and the one renderer of every report.
 
-Structured reports are flat "key = value" lines with full-precision floats
-(shortest round-trip repr, >= 15 significant digits), so identical physics
-always serializes to identical bytes.
+A report is a list of rows that `render` writes in either format: tabular
+lines for reading, or structured flat "key = value" lines with
+full-precision floats (shortest round-trip repr, >= 15 significant digits),
+so identical physics always serializes to identical bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,38 +87,50 @@ def kv_line(key: str, value) -> str:
     return f"{key} = {fmt_value(value)}"
 
 
-def kv_lines(keys, values) -> list[str]:
-    """One line per value, under keys that already end in " = "; as many
-    lines as the shorter of the two."""
-    return [key + fmt_value(value) for key, value in zip(keys, values)]
-
-
 _REPORT_FIELDS = (
     "defined", "lhs", "rhs", "margin", "stderr_margin", "n_sigma", "sigma_threshold", "violated"
 )
 
 
-def report_lines(report: InequalityReport, prefix: str) -> list[str]:
-    """Structured lines for one inequality report."""
-    keys = [f"{prefix}.{field} = " for field in _REPORT_FIELDS]
-    if not report.defined:
-        return kv_lines(keys, (False,))
-    r = report
-    return kv_lines(
-        keys,
-        (True, r.lhs, r.rhs, r.margin, r.stderr_margin, r.n_sigma, r.sigma_threshold, r.violated),
-    )
+@functools.cache
+def _inequality_parts(inequality_id: str):
+    """The structured keys of one inequality id, and its tabular templates:
+    satisfied, violated and undefined."""
+    keys = tuple(f"inequality.{inequality_id}.{field} = " for field in _REPORT_FIELDS)
+    label = f"  {inequality_id:<5} ".replace("{", "{{").replace("}", "}}")
+    defined = label + "lhs={1: .6f}  rhs={2: .6f}  margin={3: .6f} +/- {4:.6f}  [{5:+.2f} sigma]  "
+    undefined = label + "undefined (insufficient statistics)"
+    return keys, (defined + "satisfied", defined + "VIOLATED", undefined)
 
 
-def report_table_row(report: InequalityReport) -> str:
-    """One human-readable summary line for an inequality report."""
+def inequality_row(report: InequalityReport) -> tuple:
+    """The report row of one inequality; an undefined one has a single key."""
+    keys, templates = _inequality_parts(report.inequality_id)
     if not report.defined:
-        return f"{report.inequality_id:<5} undefined (insufficient statistics)"
-    verdict = "VIOLATED" if report.violated else "satisfied"
-    sigma = report.n_sigma
-    sigma_txt = f"{sigma:+.2f}" if math.isfinite(sigma) else ("+inf" if sigma > 0 else "-inf")
-    return (
-        f"{report.inequality_id:<5} lhs={report.lhs: .6f}  rhs={report.rhs: .6f}  "
-        f"margin={report.margin: .6f} +/- {report.stderr_margin:.6f}  "
-        f"[{sigma_txt} sigma]  {verdict}"
-    )
+        return templates[2], keys, (False,)
+    r, violated = report, report.violated
+    values = (True, r.lhs, r.rhs, r.margin, r.stderr_margin, r.n_sigma, r.sigma_threshold, violated)
+    return templates[violated], keys, values
+
+
+def render(report_format: str, command: str, title: str | None, config, rows) -> str:
+    """One report in either format.  A row (template, keys, values) gives the
+    tabular line template.format(*values), none for a None template, and the
+    structured lines key + fmt_value(value) over zip(keys, values); values
+    past the last key are tabular-only.  A config adds its protocol lines and
+    digest to the structured header, and its digest under the tabular title."""
+    if config is not None:
+        protocol = config.protocol_lines()
+        digest = config.digest(protocol)
+    if report_format == "structured":
+        lines = ["format = structured", f"command = {command}"]
+        if config is not None:
+            lines.append(f"config.digest = {digest}")
+            lines += ["config." + line for line in protocol]
+        lines += [key + fmt_value(v) for _, keys, values in rows for key, v in zip(keys, values)]
+    else:
+        lines = [] if title is None else [title]
+        if config is not None:
+            lines.append(f"config digest: {digest}")
+        lines += [t.format(*values) for t, _, values in rows if t is not None]
+    return "\n".join(lines) + "\n"

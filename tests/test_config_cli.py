@@ -13,7 +13,14 @@ from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, 
 from seqbell.inequalities import eq5_ratio, eval_eq4, evaluate_table
 from seqbell.lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
-from seqbell.reporting import fmt_value, kv_line
+from seqbell.reporting import (
+    InequalityReport,
+    fmt_value,
+    inequality_row,
+    kv_line,
+    render,
+    undefined_report,
+)
 from seqbell.search import SearchConfig
 
 SQRT2 = math.sqrt(2.0)
@@ -275,6 +282,32 @@ class TestCli:
         capsys.readouterr()
         assert count[0] == calls
 
+    @pytest.mark.parametrize("report_format", ["tabular", "structured"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--runs", "100"],
+            ["simulate", "--config", "CONFIG"],
+            ["predict"],
+            ["predict", "--config", "CONFIG", "--prep"],
+        ],
+    )
+    def test_protocol_serialized_once(self, argv, report_format, tmp_path, monkeypatch, capsys):
+        # the digest and the structured config block share one serialization
+        path = tmp_path / "two.cfg"
+        path.write_text("mode = two-series\nn_runs = 100\n")
+        protocol_lines, count = ExperimentConfig.protocol_lines, [0]
+
+        def counting(config):
+            count[0] += 1
+            return protocol_lines(config)
+
+        monkeypatch.setattr(ExperimentConfig, "protocol_lines", counting)
+        argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+        assert main(argv + ["--format", report_format]) == 0
+        assert capsys.readouterr().out
+        assert count[0] == 1
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_workers_rejected(self, value, capsys):
         assert main(["simulate", "--runs", "100", "--workers", value]) == 1
@@ -478,15 +511,16 @@ class TestDerivedLines:
         else:
             lhs18 = lhs18_err = nan
         lines = [
-            cli.kv_line("derived.lhs16.value", values[0] + values[1] - values[2]),
-            cli.kv_line("derived.lhs16.stderr", square_sum**0.5),
-            cli.kv_line("derived.lhs18.value", lhs18),
-            cli.kv_line("derived.lhs18.stderr", lhs18_err),
+            kv_line("derived.lhs16.value", values[0] + values[1] - values[2]),
+            kv_line("derived.lhs16.stderr", square_sum**0.5),
+            kv_line("derived.lhs18.value", lhs18),
+            kv_line("derived.lhs18.stderr", lhs18_err),
         ]
         return lines, square_sum
 
     def test_derived_lines_match_formulas(self):
         config = ExperimentConfig(report_format="structured")
+        tabular_config = ExperimentConfig(report_format="tabular")
         rng = np.random.default_rng(0)
         roots_differ = 0
         for i in range(3000):
@@ -498,6 +532,8 @@ class TestDerivedLines:
             derived = [line for line in text.splitlines() if line.startswith("derived.")]
             expected, square_sum = self._expected(counts)
             assert derived == expected, f"table {i}"
+            tabular = cli.build_simulate_report(tabular_config, result)
+            assert tabular == tabular_from_structured(text), f"table {i}"
             roots_differ += math.isfinite(square_sum) and square_sum**0.5 != math.sqrt(square_sum)
         # the lhs16 stderr is `** 0.5`; a table where math.sqrt rounds
         # differently shows that this test would catch a switch
@@ -551,6 +587,63 @@ def reference_report_body(table, hidden, sigma):
     return lines
 
 
+def tabular_from_structured(text):
+    """The tabular simulate report, written out line by line from the values
+    of the structured report of the same table at the tabular precision."""
+    kv = dict(line.split(" = ", 1) for line in text.splitlines())
+
+    def num(key):
+        return float(kv[key])
+
+    def estimate(label, name, sign):
+        p = f"estimate.{name}"
+        flag = "  [low statistics]" if kv[f"{p}.low_stats"] == "true" else ""
+        value, stderr = num(f"{p}.value"), num(f"{p}.stderr")
+        return f"  {label} = {value:{sign}.6f} +/- {stderr:.6f}  [n={kv[f'{p}.n']}]{flag}"
+
+    same = int(kv["result.same_setting_runs"])
+    agreement = f"{num('result.same_setting_agreement'):.6f}" if same else "undefined"
+    lines = [
+        f"run ensemble report ({kv['config.model']}, {kv['config.mode']} mode)",
+        f"config digest: {kv['config.digest']}",
+        f"runs: {kv['result.total_runs']}   seed: {kv['config.seed']}",
+        f"same-setting runs: {same}   agreement: {agreement}",
+        "",
+        "expectation estimates:",
+    ]
+    lines += [estimate(f"E({x},{y})", f"E.{x}.{y}", "+") for x, y in ("AB", "BC", "AC")]
+    lines += ["", "pair probability estimates:"]
+    probs = ("A+C-", "A+B-", "B+C-", "A-C+", "A-B+", "B-C+")
+    lines += [estimate(f"P({p[:2]},{p[2:]})", f"P.{p[:2]}.{p[2:]}", "") for p in probs]
+    lines.append("")
+    for name in ("lhs16", "lhs18"):
+        value, stderr = num(f"derived.{name}.value"), num(f"derived.{name}.stderr")
+        lines.append(f"derived {name} = {value:+.6f} +/- {stderr:.6f}")
+    lines += ["", "inequalities:"]
+    for eq in ("EQ6", "EQ7", "EQ8", "EQ10", "EQ4"):
+        p = f"inequality.{eq}"
+        if f"{p}.defined" not in kv:
+            continue
+        if kv[f"{p}.defined"] == "false":
+            lines.append(f"  {eq:<5} undefined (insufficient statistics)")
+            continue
+        lhs, rhs, margin = num(f"{p}.lhs"), num(f"{p}.rhs"), num(f"{p}.margin")
+        stderr, n_sigma = num(f"{p}.stderr_margin"), num(f"{p}.n_sigma")
+        verdict = "VIOLATED" if kv[f"{p}.violated"] == "true" else "satisfied"
+        lines.append(
+            f"  {eq:<5} lhs={lhs: .6f}  rhs={rhs: .6f}  margin={margin: .6f} +/- {stderr:.6f}"
+            f"  [{n_sigma:+.2f} sigma]  {verdict}"
+        )
+    if "inequality.EQ4.defined" in kv:
+        lines += ["", "sampling-factor ratios (expected 1):"]
+        for p in probs:
+            q = f"eq5.{p[:2]}.{p[2:]}"
+            if kv[f"{q}.defined"] == "true":
+                ratio, stderr = num(f"{q}.ratio"), num(f"{q}.stderr")
+                lines.append(f"  9 N[{p}] / N(...) = {ratio:.6f} +/- {stderr:.6f}")
+    return "\n".join(lines) + "\n"
+
+
 class TestReportFormatting:
     def test_fmt_value_matches_isinstance_chain(self):
         values = [0.1, 1e-300, math.nan, -math.inf, 3, -7, 2**70, True, False, np.float64(0.5)]
@@ -560,15 +653,95 @@ class TestReportFormatting:
 
     def test_lhv_report_lines_as_written_line_by_line(self):
         config = ExperimentConfig(report_format="structured")
+        tabular_config = replace(config, report_format="tabular")
         rng = np.random.default_rng(5)
+        tables = []
         for i in range(300):
             counts = rng.integers(0, (3, 30, 3000)[i % 3], size=(3, 3, 2, 2))
             counts[rng.random((3, 3, 2, 2)) < 0.3] = 0
             hidden = rng.integers(0, 2000, size=8) * (rng.random(8) < 0.7)
+            tables.append((counts, hidden))
+        # and one table without a same-setting run
+        counts = rng.integers(0, 30, size=(3, 3, 2, 2))
+        counts[[0, 1, 2], [0, 1, 2]] = 0
+        tables.append((counts, rng.integers(0, 2000, size=8)))
+        seen = set()
+        for i, (counts, hidden) in enumerate(tables):
             table, hidden = RunCountTable(counts), HiddenCountTable(hidden)
-            text = cli.build_simulate_report(config, SimpleNamespace(table=table, hidden=hidden))
+            result = SimpleNamespace(table=table, hidden=hidden)
+            text = cli.build_simulate_report(config, result)
             body = [
                 line for line in text.splitlines()
                 if line.startswith(("estimate.", "inequality.", "eq5."))
             ]
             assert body == reference_report_body(table, hidden, config.sigma), f"table {i}"
+            tabular = cli.build_simulate_report(tabular_config, result)
+            assert tabular == tabular_from_structured(text), f"table {i}"
+            for mark in ("[low statistics]", "undefined (insufficient", "agreement: undefined"):
+                if mark in tabular:
+                    seen.add(mark)
+        assert len(seen) == 3
+
+
+class TestRender:
+    """One list of rows holding every row kind, written in both formats."""
+
+    ROWS = [
+        ("tabular only {}", (), ("x",)),
+        (None, ("only.structured = ",), (1.5,)),
+        ("both {:.3f} and {}", ("both.value = ", "both.flag = "), (0.25, True)),
+        ("past the last key: {} {}", ("past.n = ",), (3, "tabular {0} only")),
+        ("a {{0}} detail: {}", ("braces = ",), ("{1} {x}",)),
+        inequality_row(undefined_report("EQ7")),
+        inequality_row(InequalityReport("EQ16", 1.5, 1.0)),
+    ]
+
+    def test_structured_line_by_line(self):
+        text = render("structured", "demo", "not shown", None, self.ROWS)
+        assert text.splitlines() == [
+            "format = structured",
+            "command = demo",
+            "only.structured = 1.5",
+            "both.value = 0.25",
+            "both.flag = true",
+            "past.n = 3",
+            "braces = {1} {x}",
+            "inequality.EQ7.defined = false",
+            "inequality.EQ16.defined = true",
+            "inequality.EQ16.lhs = 1.5",
+            "inequality.EQ16.rhs = 1.0",
+            "inequality.EQ16.margin = -0.5",
+            "inequality.EQ16.stderr_margin = 0.0",
+            "inequality.EQ16.n_sigma = -inf",
+            "inequality.EQ16.sigma_threshold = 5.0",
+            "inequality.EQ16.violated = true",
+        ]
+        assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def test_tabular_line_by_line(self):
+        text = render("tabular", "demo", "a title", None, self.ROWS)
+        assert text.splitlines() == [
+            "a title",
+            "tabular only x",
+            "both 0.250 and True",
+            "past the last key: 3 tabular {0} only",
+            "a {0} detail: {1} {x}",
+            "  EQ7   undefined (insufficient statistics)",
+            "  EQ16  lhs= 1.500000  rhs= 1.000000  margin=-0.500000 +/- 0.000000"
+            "  [-inf sigma]  VIOLATED",
+        ]
+        assert render("tabular", "demo", None, None, self.ROWS[:1]) == "tabular only x\n"
+
+    def test_config_header(self):
+        config = ExperimentConfig(report_format="structured")
+        protocol = [f"config.{line}" for line in config.protocol_lines()]
+        assert render("structured", "demo", None, config, []).splitlines() == [
+            "format = structured",
+            "command = demo",
+            f"config.digest = {config.digest()}",
+            *protocol,
+        ]
+        assert render("tabular", "demo", "a title", config, []).splitlines() == [
+            "a title",
+            f"config digest: {config.digest()}",
+        ]
