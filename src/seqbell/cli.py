@@ -31,7 +31,7 @@ from .inequalities import (
     EQ7_PROBS,
     EQ8_PROBS,
     PAIRS,
-    eq5_ratio,
+    eq5_ratios,
     eq16_report,
     eq18_report,
     eval_eq4,
@@ -206,7 +206,7 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
     if hidden is not None:
         # all 24 ratios in the structured report; the defined ones of the six
         # inequality probabilities in the tabular one
-        ratios = {key: eq5_ratio(hidden, table, *key) for key in PAIR_MARGINAL_KEYS}
+        ratios = eq5_ratios(hidden, table)
         values = {key: (True, *r) if r.defined else (False,) for key, r in ratios.items()}
         rows += [(None, _EQ5_KEYS[key], v) for key, v in values.items()]
         rows.append(_text("\nsampling-factor ratios (expected 1):"))
@@ -312,6 +312,8 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = _load(args)
+    if config.log_runs and config.out_dir is None:
+        raise ConfigError("--log-runs (output.log_runs) needs an output directory: --out or output.dir")
     out = _make_out_dir(config)
     if config.mode is Mode.TWO_SERIES:
         plus, minus = run_two_series(config, workers=args.workers)
@@ -358,7 +360,8 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and each command's sub-parser by name."""
     parser = argparse.ArgumentParser(
         prog="seqbell",
         description="temporal Bell inequalities for consecutive measurements",
@@ -407,11 +410,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--use-literal-eq3", action="store_true", help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The full parser's Namespace for argv, read by the command's own
+    sub-parser; the full parser reads any argv that leaves something over."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        parsed, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args = argparse.Namespace(command=argv[0])
+            vars(args).update(vars(parsed))
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

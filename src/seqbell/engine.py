@@ -174,6 +174,14 @@ class ProtocolConfig:
         """The normalized lhv weights, built once per config."""
         return TripleDistribution(self.weights)
 
+    @cached_property
+    def run_dist(self) -> TripleDistribution:
+        """The weights each run draws from: conditioned on the preparation in
+        prepared mode, built once per config."""
+        if self.mode is Mode.PREPARED:
+            return self.dist.condition(self.prep_setting, self.prep_sign)
+        return self.dist
+
     def validate(self) -> None:
         if not all(isinstance(d, Direction) for d in self.directions):
             raise ConfigError("directions must be three unit vectors (a, b, c)")
@@ -192,15 +200,14 @@ class ProtocolConfig:
             if self.weights is None:
                 raise ConfigError("lhv model requires a triple distribution")
             try:
-                dist = self.dist
+                self.dist
             except ValueError as exc:
                 raise ConfigError(f"lhv.weights: {exc}") from exc
-            if self.mode is Mode.PREPARED:
-                # fail before any work if the preparation has no support
-                try:
-                    dist.condition(self.prep_setting, self.prep_sign)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+            # fail before any work if the preparation has no support
+            try:
+                self.run_dist
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +224,6 @@ def _effective_bloch(config: ProtocolConfig) -> np.ndarray:
     return bloch_vector(config.state)
 
 
-def _effective_dist(config: ProtocolConfig) -> TripleDistribution:
-    if config.mode is Mode.PREPARED:
-        return config.dist.condition(config.prep_setting, config.prep_sign)
-    return config.dist
-
-
 def cell_law(config: ProtocolConfig) -> np.ndarray:
     """Exact P(first outcome, second outcome | setting pair) of every cell.
 
@@ -233,8 +234,7 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     two-series mode, from the configured state or weights.
     """
     if config.model is Model.LHV:
-        dist = _effective_dist(config)
-        law = [lhv_pair_prob(dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
+        law = [lhv_pair_prob(config.run_dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
     else:
         state = config.state
         if config.mode is Mode.PREPARED:
@@ -256,7 +256,7 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
 # keep as their reference, so every count and run log is the same bit for bit.
 #
 # No float64 or int64 temporary of a whole chunk lives next to another one:
-# settings are cast to int8 as soon as they are drawn, the second uniforms
+# settings are made int8 from their raw words at once, the second uniforms
 # reuse the first ones' buffer, and the thresholds are gathered in blocks of
 # 64 KB.  Otherwise the allocator trims and re-faults the freed temporaries
 # on every chunk (serial quantum free ensemble of 10^7 runs, 2-CPU host:
@@ -275,10 +275,27 @@ def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.nd
     return out
 
 
+# numpy's rng.integers(0, 3) maps a 32-bit word w to (3 * w) >> 32, which is
+# (w >= 1431655766) + (w >= 2863311531), and redraws only w = 0 (Lemire's
+# bounded method); it takes the low half of each 64-bit raw word, then the high
+_SETTING_EDGES = (np.uint32(1431655766), np.uint32(2863311531))
+
+
+def _draw_settings(rng: np.random.Generator, n: int):
+    """The first and second settings of n runs as int8 arrays: the values of,
+    and the generator state after, two rng.integers(0, 3, size=n) calls on a
+    generator that holds no half word, read from n raw words."""
+    words = rng.bit_generator.random_raw(n).astype("<u8", copy=False).view("<u4")
+    if not words.min():  # p = 2**-32 per word: rewind and let numpy redraw
+        rng.bit_generator.advance(-n)
+        return tuple(rng.integers(0, 3, size=n).astype(np.int8) for _ in range(2))
+    settings = np.greater_equal(words, _SETTING_EDGES[0]).view(np.int8)
+    settings += np.greater_equal(words, _SETTING_EDGES[1]).view(np.int8)
+    return settings[:n], settings[n:]
+
+
 def _quantum_chunk(p_first: np.ndarray, p_second: np.ndarray, n: int, rng: np.random.Generator):
-    # dtype=np.int8 here would take numpy's 8-bit bounded path: another stream
-    first = rng.integers(0, 3, size=n).astype(np.int8)
-    second = rng.integers(0, 3, size=n).astype(np.int8)
+    first, second = _draw_settings(rng, n)
     u = rng.random(n)
     minus1 = _at_least(u, p_first, first)
     pair = first
@@ -309,9 +326,8 @@ _LHV_FOLD = np.eye(36, dtype=np.int64)[_LHV_CELLS]
 
 
 def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
-    triples = sample_triple_indices(dist, n, rng)
-    key = rng.integers(0, 3, size=n).astype(np.int8)
-    second = rng.integers(0, 3, size=n).astype(np.int8)
+    triples = sample_triple_indices(dist, n, rng)  # 64-bit draws: no half word held
+    key, second = _draw_settings(rng, n)
     key *= 3
     key += second
     key += np.multiply(triples, np.int8(9), out=second)
@@ -321,7 +337,7 @@ def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
 def _series_kernel(config: ProtocolConfig):
     """One series' chunk kernel (n, rng) -> run keys, its invariants bound once."""
     if config.model is Model.LHV:
-        return partial(_lhv_chunk, _effective_dist(config))
+        return partial(_lhv_chunk, config.run_dist)
     dirs = np.array([d.as_array() for d in config.directions])
     # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
     p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
@@ -377,9 +393,9 @@ def _usable_cpus() -> int:
 _IN_FLIGHT_PER_WORKER = 4
 
 
-def _chunk_tables(config: ProtocolConfig, series: int, workers: int):
+def _chunk_tables(config: ProtocolConfig, kernel, series: int, workers: int):
     """Yield the count tables of each chunk of one series, in chunk order."""
-    kernel, plan = _series_kernel(config), _chunk_plan(config.n_runs, config.chunk_size)
+    plan = _chunk_plan(config.n_runs, config.chunk_size)
     tasks = ((config, kernel, series, i, size) for i, size in enumerate(plan))
     n_chunks = -(-config.n_runs // config.chunk_size)
     # more threads than chunks or CPUs would only wait
@@ -398,9 +414,9 @@ def _chunk_tables(config: ProtocolConfig, series: int, workers: int):
             yield pending.popleft().result()
 
 
-def _generate_series(config: ProtocolConfig, series: int, workers: int) -> EnsembleResult:
+def _generate_series(config: ProtocolConfig, kernel, series: int, workers: int) -> EnsembleResult:
     counts, hidden = np.zeros(36, dtype=np.int64), None
-    for chunk_counts, chunk_hidden in _chunk_tables(config, series, workers):
+    for chunk_counts, chunk_hidden in _chunk_tables(config, kernel, series, workers):
         counts += chunk_counts
         hidden = chunk_hidden if hidden is None else hidden + chunk_hidden
     return EnsembleResult(
@@ -419,7 +435,7 @@ def run_ensemble(config: ProtocolConfig, workers: int = 1) -> EnsembleResult:
     """
     if config.mode is Mode.TWO_SERIES:
         raise ConfigError("two-series mode is generated by run_two_series")
-    return _generate_series(config, series=0, workers=workers)
+    return _generate_series(config, _series_kernel(config), series=0, workers=workers)
 
 
 def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleResult, EnsembleResult]:
@@ -431,8 +447,9 @@ def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleRe
     """
     if config.mode is not Mode.TWO_SERIES:
         raise ConfigError("run_two_series requires mode = two-series")
-    plus = _generate_series(config, series=0, workers=workers)
-    minus = _generate_series(config, series=1, workers=workers)
+    kernel = _series_kernel(config)
+    plus = _generate_series(config, kernel, series=0, workers=workers)
+    minus = _generate_series(config, kernel, series=1, workers=workers)
     return plus, minus
 
 
@@ -444,10 +461,12 @@ def estimate_pair_prob(
     table: RunCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
 ) -> Estimate:
     """P(x^sx, y^sy) with binomial standard error, conditioned on the pair (x, y)."""
-    n = table.pair_total(x, y)
+    return _pair_prob(table.pair_total(x, y), table.count(x, sign_x, y, sign_y))
+
+
+def _pair_prob(n: int, k: int) -> Estimate:
     if n == 0:
         return UNDEFINED_ESTIMATE
-    k = table.count(x, sign_x, y, sign_y)
     p = k / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return Estimate(value=p, stderr=stderr, n_conditioning=n, low_stats=k < 10)
@@ -455,7 +474,10 @@ def estimate_pair_prob(
 
 def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> Estimate:
     """E(x, y) as the signed sum of the four outcome-pair probabilities."""
-    pp, pm, mp, mm = table.pair_counts(x, y)
+    return _expectation(*table.pair_counts(x, y))
+
+
+def _expectation(pp: int, pm: int, mp: int, mm: int) -> Estimate:
     n = pp + pm + mp + mm
     if n == 0:
         return UNDEFINED_ESTIMATE

@@ -17,6 +17,7 @@ verifier checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -87,9 +88,10 @@ class TripleDistribution:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (8,):
             raise ValueError(f"expected 8 weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        values = w.tolist()  # checked as Python floats: faster for 8
+        if not all(map(math.isfinite, values)):
             raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
+        if min(values) < 0.0:
             raise ValueError("weights must be non-negative")
         total = float(w.sum())
         if total <= 0.0:
@@ -164,6 +166,22 @@ class HiddenCountTable(CountTable):
     _SHAPE = (8,)
 
 
+def _marginal_cells(x, sign_x, y, sign_y, literal_eq3: bool = False) -> tuple[int, int]:
+    """The two realities counted by the pair marginal N(x^sx y^sy), as indices."""
+    if x == y:
+        raise ValueError("pair marginal needs two distinct settings")
+    if (
+        literal_eq3
+        and {x, y} == {Setting.B, Setting.C}
+        and {(x, sign_x), (y, sign_y)} == {(Setting.B, Outcome.PLUS), (Setting.C, Outcome.MINUS)}
+    ):
+        return _PAIR_CELLS[Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS]
+    try:
+        return _PAIR_CELLS[x, sign_x, y, sign_y]
+    except KeyError:
+        raise ValueError(f"no pair marginal for {(x, sign_x, y, sign_y)}") from None
+
+
 def hidden_marginal(
     table: HiddenCountTable,
     x: Setting,
@@ -179,26 +197,26 @@ def hidden_marginal(
     duplicates the cells of N(a+c-); it exists only so the built-in verifier
     can demonstrate that the misprint breaks the EQ4 margin identity.
     """
-    if x == y:
-        raise ValueError("pair marginal needs two distinct settings")
-    if (
-        literal_eq3
-        and {x, y} == {Setting.B, Setting.C}
-        and {(x, sign_x), (y, sign_y)} == {(Setting.B, Outcome.PLUS), (Setting.C, Outcome.MINUS)}
-    ):
-        mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, Setting.C] == -1)
-        return int(table.counts[mask].sum())
-    try:
-        i, j = _PAIR_CELLS[x, sign_x, y, sign_y]
-    except KeyError:
-        raise ValueError(f"no pair marginal for {(x, sign_x, y, sign_y)}") from None
+    i, j = _marginal_cells(x, sign_x, y, sign_y, literal_eq3)
     return table._cells[i] + table._cells[j]
 
 
+# the cells of the EQ4 margin's decomposition N(a+b-c+) + N(a-b+c-)
+EQ4_DECOMPOSITION_CELLS = (2, 5)
+
+
+def eq4_cells(literal_eq3: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The realities summed by each side of EQ4: N(a+c-), and N(a+b-) + N(b+c-)."""
+    lhs = _marginal_cells(Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS)
+    rhs = _marginal_cells(Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) + _marginal_cells(
+        Setting.B, Outcome.PLUS, Setting.C, Outcome.MINUS, literal_eq3
+    )
+    return lhs, rhs
+
+
 def count_inequality_decomposition(table: HiddenCountTable) -> int:
-    """Exact cell decomposition of the EQ4 margin: N(a+b-c+) + N(a-b+c-),
-    the cells at indices 2 and 5."""
-    return table._cells[2] + table._cells[5]
+    """Exact cell decomposition of the EQ4 margin: N(a+b-c+) + N(a-b+c-)."""
+    return sum(table._cells[i] for i in EQ4_DECOMPOSITION_CELLS)
 
 
 def check_count_inequality(
@@ -212,12 +230,7 @@ def check_count_inequality(
     Holds with margin >= 0 for every non-negative table; the evaluation is
     exact, so the report carries zero standard error.
     """
-    lhs = hidden_marginal(table, Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS)
-    rhs = hidden_marginal(
-        table, Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS
-    ) + hidden_marginal(
-        table, Setting.B, Outcome.PLUS, Setting.C, Outcome.MINUS, literal_eq3=literal_eq3
-    )
+    lhs, rhs = (sum(table._cells[i] for i in side) for side in eq4_cells(literal_eq3))
     return InequalityReport(
         inequality_id="EQ4",
         lhs=float(lhs),

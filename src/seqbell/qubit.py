@@ -93,25 +93,41 @@ def dot(d1: Direction, d2: Direction) -> float:
     return min(1.0, max(-1.0, value))
 
 
-@lru_cache(maxsize=1024)
-def _frame_components(e: Direction):
+# Each formula is written once on plain floats, a vector as an (x, y, z)
+# triple and a state as (s, phi) against e; the object functions call it.
+
+
+def _frame(ex: float, ey: float, ez: float):
     """Transverse axes of e as two float triples; (u, v, e) right-handed.
 
     For e along +z this is exactly (x-hat, y-hat), which fixes the phase
     gauge used by the canonical state representation.
     """
-    if abs(e.x) <= 0.9:
+    if abs(ex) <= 0.9:
         hx, hy, hz = 1.0, 0.0, 0.0
     else:
         hx, hy, hz = 0.0, 1.0, 0.0
-    d = hx * e.x + hy * e.y + hz * e.z
-    ux, uy, uz = hx - d * e.x, hy - d * e.y, hz - d * e.z
+    d = hx * ex + hy * ey + hz * ez
+    ux, uy, uz = hx - d * ex, hy - d * ey, hz - d * ez
     n = math.sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux / n, uy / n, uz / n
-    vx = e.y * uz - e.z * uy
-    vy = e.z * ux - e.x * uz
-    vz = e.x * uy - e.y * ux
+    vx = ey * uz - ez * uy
+    vy = ez * ux - ex * uz
+    vz = ex * uy - ey * ux
     return (ux, uy, uz), (vx, vy, vz)
+
+
+@lru_cache(maxsize=1024)
+def _frame_components(e: Direction):
+    return _frame(e.x, e.y, e.z)
+
+
+def _azimuth(x, u, v) -> float:
+    tu = x[0] * u[0] + x[1] * u[1] + x[2] * u[2]
+    tv = x[0] * v[0] + x[1] * v[1] + x[2] * v[2]
+    if tu == 0.0 and tv == 0.0:
+        return 0.0
+    return math.atan2(tv, tu) % TWO_PI
 
 
 def azimuth_about(x: Direction, e: Direction) -> float:
@@ -119,12 +135,7 @@ def azimuth_about(x: Direction, e: Direction) -> float:
 
     Zero when x is (anti)parallel to e, where the azimuth is a pure gauge.
     """
-    u, v = _frame_components(e)
-    tu = x.x * u[0] + x.y * u[1] + x.z * u[2]
-    tv = x.x * v[0] + x.y * v[1] + x.z * v[2]
-    if tu == 0.0 and tv == 0.0:
-        return 0.0
-    return math.atan2(tv, tu) % TWO_PI
+    return _azimuth((x.x, x.y, x.z), *_frame_components(e))
 
 
 @dataclass(frozen=True)
@@ -150,34 +161,45 @@ class PureState:
         object.__setattr__(self, "phi", phi % TWO_PI)
 
 
+def _amplitudes(s: float, phi: float) -> tuple[complex, complex]:
+    minus = math.sqrt(max(0.0, 1.0 - s * s))
+    return complex(s), minus * cmath.exp(1j * phi)
+
+
 def amplitudes(state: PureState) -> tuple[complex, complex]:
     """Amplitudes of the state on |e+> and |e-> of its reference direction."""
-    minus = math.sqrt(max(0.0, 1.0 - state.s * state.s))
-    return complex(state.s), minus * cmath.exp(1j * state.phi)
+    return _amplitudes(state.s, state.phi)
+
+
+def _inner(s1: float, phi1: float, s2: float, phi2: float) -> complex:
+    a1, b1 = _amplitudes(s1, phi1)
+    a2, b2 = _amplitudes(s2, phi2)
+    return a1.conjugate() * a2 + b1.conjugate() * b2
 
 
 def overlap(s1: PureState, s2: PureState) -> complex:
     """Inner product <s1|s2> for two states sharing a reference direction."""
     if s1.e != s2.e:
         raise ValueError("overlap requires both states in the same reference frame")
-    a1, b1 = amplitudes(s1)
-    a2, b2 = amplitudes(s2)
-    return a1.conjugate() * a2 + b1.conjugate() * b2
+    return _inner(s1.s, s1.phi, s2.s, s2.phi)
+
+
+def _bloch(s: float, phi: float, e):
+    u, v = _frame(*e)
+    transverse = 2.0 * s * math.sqrt(max(0.0, 1.0 - s * s))
+    longitudinal = 2.0 * s * s - 1.0
+    tc = transverse * math.cos(phi)
+    ts = transverse * math.sin(phi)
+    return (
+        tc * u[0] + ts * v[0] + longitudinal * e[0],
+        tc * u[1] + ts * v[1] + longitudinal * e[1],
+        tc * u[2] + ts * v[2] + longitudinal * e[2],
+    )
 
 
 @lru_cache(maxsize=4096)
 def _bloch_components(state: PureState):
-    u, v = _frame_components(state.e)
-    s = state.s
-    transverse = 2.0 * s * math.sqrt(max(0.0, 1.0 - s * s))
-    longitudinal = 2.0 * s * s - 1.0
-    tc = transverse * math.cos(state.phi)
-    ts = transverse * math.sin(state.phi)
-    return (
-        tc * u[0] + ts * v[0] + longitudinal * state.e.x,
-        tc * u[1] + ts * v[1] + longitudinal * state.e.y,
-        tc * u[2] + ts * v[2] + longitudinal * state.e.z,
-    )
+    return _bloch(state.s, state.phi, (state.e.x, state.e.y, state.e.z))
 
 
 def bloch_vector(state: PureState) -> np.ndarray:
@@ -203,6 +225,15 @@ def state_from_bloch(r, e: Direction = Z_AXIS) -> PureState:
     return _state_from_components(r[0] / norm, r[1] / norm, r[2] / norm, e)
 
 
+def _eigen(x, e, plus: bool, phase: float | None = None) -> tuple[float, float]:
+    c = min(1.0, max(-1.0, x[0] * e[0] + x[1] * e[1] + x[2] * e[2]))
+    if phase is None:
+        phase = _azimuth(x, *_frame(*e))
+    if plus:
+        return math.sqrt((1.0 + c) / 2.0), phase % TWO_PI
+    return math.sqrt((1.0 - c) / 2.0), (phase + math.pi) % TWO_PI
+
+
 def eigenstate(
     x: Direction, outcome: Outcome, e: Direction, phase: float | None = None
 ) -> PureState:
@@ -214,36 +245,45 @@ def eigenstate(
     the geometric azimuth of x around e, which makes the Bloch vector of the
     result equal +x or -x; an explicit phase selects a rotated gauge instead.
     """
-    c = dot(x, e)
-    if phase is None:
-        phase = azimuth_about(x, e)
-    elif not math.isfinite(phase):
+    if phase is not None and not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase!r}")
-    plus_amp = math.sqrt((1.0 + c) / 2.0)
-    minus_amp = math.sqrt((1.0 - c) / 2.0)
-    if outcome is Outcome.PLUS or outcome == 1:
-        return PureState(plus_amp, phase % TWO_PI, e)
-    return PureState(minus_amp, (phase + math.pi) % TWO_PI, e)
+    plus = outcome is Outcome.PLUS or outcome == 1
+    return PureState(*_eigen((x.x, x.y, x.z), (e.x, e.y, e.z), plus, phase), e)
+
+
+def _born(r, x, sign: int) -> float:
+    p = 0.5 * (1.0 + sign * (r[0] * x[0] + r[1] * x[1] + r[2] * x[2]))
+    return min(1.0, max(0.0, p))
 
 
 def born_prob(state: PureState, x: Direction, outcome: Outcome) -> float:
     """Probability of the given outcome when measuring the state along x."""
-    rx, ry, rz = _bloch_components(state)
-    p = 0.5 * (1.0 + int(outcome) * (rx * x.x + ry * x.y + rz * x.z))
-    return min(1.0, max(0.0, p))
+    return _born(_bloch_components(state), (x.x, x.y, x.z), int(outcome))
+
+
+def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
+    """random_direction's draws and components; Direction would keep them,
+    as they are unit to about 1e-16."""
+    while True:
+        v = rng.normal(size=3)
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's steps
+        if norm > 1e-6:
+            x, y, z = v.tolist()
+            return x / norm, y / norm, z / norm
 
 
 def random_direction(rng: np.random.Generator) -> Direction:
     """Uniform random unit vector."""
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return Direction.from_array(v / norm)
+    return Direction(*_random_unit(rng))
+
+
+def _random_amplitude(rng: np.random.Generator) -> tuple[float, float]:
+    """random_state's draws, and the (s, phi) its PureState keeps."""
+    c = rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(0.0, TWO_PI)
+    return math.sqrt((1.0 + c) / 2.0), phi % TWO_PI
 
 
 def random_state(rng: np.random.Generator, e: Direction = Z_AXIS) -> PureState:
     """Haar-uniform random pure state represented against e."""
-    c = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, TWO_PI)
-    return PureState(math.sqrt((1.0 + c) / 2.0), phi, e)
+    return PureState(*_random_amplitude(rng), e)

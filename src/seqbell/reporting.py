@@ -83,10 +83,6 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def kv_line(key: str, value) -> str:
-    return f"{key} = {fmt_value(value)}"
-
-
 _REPORT_FIELDS = (
     "defined", "lhs", "rhs", "margin", "stderr_margin", "n_sigma", "sigma_threshold", "violated"
 )
@@ -127,7 +123,12 @@ def render(report_format: str, command: str, title: str | None, config, rows) ->
         if config is not None:
             lines.append(f"config.digest = {digest}")
             lines += ["config." + line for line in protocol]
-        lines += [key + fmt_value(v) for _, keys, values in rows for key, v in zip(keys, values)]
+        # fmt_value, with its three commonest types tested inline
+        lines += [
+            key + (repr(v) if (t := type(v)) is float else str(v) if t is int
+                   else ("true" if v else "false") if t is bool else fmt_value(v))
+            for _, keys, values in rows for key, v in zip(keys, values)
+        ]
     else:
         lines = [] if title is None else [title]
         if config is not None:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, inequalities, lhv, qubit, search
-from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
+from .lhv import Setting
 from .qubit import Outcome
 
-PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
+PLUS = Outcome.PLUS
 
 
 @dataclass(frozen=True)
@@ -34,42 +34,48 @@ def _random_directions(rng) -> dict:
     return dict(zip("abc", (qubit.random_direction(rng) for _ in range(3))))
 
 
+# The three state checks compute on floats through qubit's float forms, with
+# the draws, in the same order, of the same checks on qubit objects.
+
+
 def check_state_normalization(rng) -> CheckResult:
-    worst = 0.0
+    worst, blochs = 0.0, []
     for _ in range(1000):
-        psi = qubit.random_state(rng, qubit.random_direction(rng))
-        ap, am = qubit.amplitudes(psi)
+        e = qubit._random_unit(rng)
+        s, phi = qubit._random_amplitude(rng)
+        ap, am = qubit._amplitudes(s, phi)
         worst = max(worst, abs(abs(ap) ** 2 + abs(am) ** 2 - 1.0))
-        worst = max(worst, abs(float(np.linalg.norm(qubit.bloch_vector(psi))) - 1.0))
+        blochs.append(qubit._bloch(s, phi, e))
+    # np.linalg.norm of each vector, rounded as it rounds
+    norms = np.sqrt(search._stacked_dots(blochs, blochs))
+    worst = max(worst, float(np.abs(norms - 1.0).max()))
     return CheckResult("state_normalization", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 
 def check_born_completeness(rng) -> CheckResult:
     worst = 0.0
     for _ in range(1000):
-        psi = qubit.random_state(rng, qubit.random_direction(rng))
-        x = qubit.random_direction(rng)
-        total = qubit.born_prob(psi, x, PLUS) + qubit.born_prob(psi, x, MINUS)
-        worst = max(worst, abs(total - 1.0))
+        e = qubit._random_unit(rng)
+        r = qubit._bloch(*qubit._random_amplitude(rng), e)
+        x = qubit._random_unit(rng)
+        worst = max(worst, abs(qubit._born(r, x, 1) + qubit._born(r, x, -1) - 1.0))
     return CheckResult("born_completeness", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 
 def check_eigenstate_geometry(rng) -> CheckResult:
     worst_bloch, worst_overlap = 0.0, 0.0
     for _ in range(500):
-        x, e = qubit.random_direction(rng), qubit.random_direction(rng)
-        plus = qubit.eigenstate(x, PLUS, e)
-        minus = qubit.eigenstate(x, MINUS, e)
+        x, e = qubit._random_unit(rng), qubit._random_unit(rng)
+        plus = qubit._bloch(*qubit._eigen(x, e, True), e)
+        minus = qubit._bloch(*qubit._eigen(x, e, False), e)
         worst_bloch = max(
             worst_bloch,
-            float(np.max(np.abs(qubit.bloch_vector(plus) - x.as_array()))),
-            float(np.max(np.abs(qubit.bloch_vector(minus) + x.as_array()))),
+            *(abs(r - v) for r, v in zip(plus, x)),
+            *(abs(r + v) for r, v in zip(minus, x)),
         )
         phase = rng.uniform(0, 2 * math.pi)
-        worst_overlap = max(
-            worst_overlap,
-            abs(qubit.overlap(qubit.eigenstate(x, PLUS, e, phase), qubit.eigenstate(x, MINUS, e, phase))),
-        )
+        inner = qubit._inner(*qubit._eigen(x, e, True, phase), *qubit._eigen(x, e, False, phase))
+        worst_overlap = max(worst_overlap, abs(inner))
     ok = worst_bloch <= 1e-10 and worst_overlap <= 1e-12
     return CheckResult(
         "eigenstate_geometry", ok, f"bloch {worst_bloch:.3e}, overlap {worst_overlap:.3e}"
@@ -117,18 +123,24 @@ def check_eq4_identity(rng, literal_eq3: bool = False) -> CheckResult:
     """
     # one draw of 2000 x 8 gives the values, and leaves the generator in the
     # state, of 2000 draws of 8
-    tables = [HiddenCountTable(row) for row in rng.integers(0, 1000, size=(2000, 8))]
-    tables.append(HiddenCountTable(np.array([0, 0, 0, 0, 0, 5, 0, 0])))  # a-b+c- only
-    for table in tables:
-        report = lhv.check_count_inequality(table, literal_eq3=literal_eq3)
-        if report.margin < 0 or report.margin != lhv.count_inequality_decomposition(table):
-            return CheckResult(
-                "eq4_identity",
-                False,
-                f"margin {report.margin} != decomposition "
-                f"{lhv.count_inequality_decomposition(table)} on {table.counts.tolist()}",
-            )
-    return CheckResult("eq4_identity", True, f"{len(tables)} tables checked")
+    counts = np.vstack([rng.integers(0, 1000, size=(2000, 8)), [0, 0, 0, 0, 0, 5, 0, 0]])
+    return _eq4_sweep(counts, literal_eq3)  # the last table: a-b+c- only
+
+
+def _eq4_sweep(counts: np.ndarray, literal_eq3: bool) -> CheckResult:
+    """check_eq4_identity on each row of an (n, 8) hidden count array, in one pass."""
+    lhs_cells, rhs_cells = lhv.eq4_cells(literal_eq3)
+    margin = counts[:, rhs_cells].sum(1) - counts[:, lhs_cells].sum(1)
+    decomposition = counts[:, lhv.EQ4_DECOMPOSITION_CELLS].sum(1)
+    failed = np.flatnonzero((margin < 0) | (margin != decomposition))
+    if failed.size:
+        i = failed[0]
+        return CheckResult(
+            "eq4_identity",
+            False,
+            f"margin {float(margin[i])} != decomposition {decomposition[i]} on {counts[i].tolist()}",
+        )
+    return CheckResult("eq4_identity", True, f"{len(counts)} tables checked")
 
 
 def check_eq5_sampling_factor(rng, seed) -> CheckResult:
@@ -142,8 +154,7 @@ def check_eq5_sampling_factor(rng, seed) -> CheckResult:
     )
     result = engine.run_ensemble(config)
     worst = 0.0
-    for key in PAIR_MARGINAL_KEYS:
-        ratio = inequalities.eq5_ratio(result.hidden, result.table, *key)
+    for ratio in inequalities.eq5_ratios(result.hidden, result.table).values():
         if ratio.marginal >= 1000:
             worst = max(worst, abs(ratio.ratio - 1.0) / ratio.stderr)
     return CheckResult("eq5_sampling_factor", worst <= 4.0, f"worst deviation {worst:.2f} sigma")

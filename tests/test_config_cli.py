@@ -17,7 +17,6 @@ from seqbell.reporting import (
     InequalityReport,
     fmt_value,
     inequality_row,
-    kv_line,
     render,
     undefined_report,
 )
@@ -341,6 +340,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_log_runs_without_out_dir_rejected_before_any_work(self, source, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although no run log can be written")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_work)
+        path = tmp_path / "log.cfg"
+        path.write_text("output.log_runs = true\n")
+        argv = ["--log-runs"] if source == "flag" else ["--config", str(path)]
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--runs", "100", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "--out" in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.cfg"]
+
+    def test_log_runs_with_out_dir_from_either_source(self, tmp_path, capsys):
+        path = tmp_path / "log.cfg"
+        path.write_text(f"output.dir = {tmp_path / 'file'}\n")
+        assert main(["simulate", "--runs", "100", "--config", str(path), "--log-runs"]) == 0
+        path.write_text("output.log_runs = true\n")
+        assert main(["simulate", "--runs", "100", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+        capsys.readouterr()
+        for name in ("file", "flag"):
+            assert (tmp_path / name / "runs.csv").read_text().count("\n") == 101
+
     def test_predict_writes_to_out_dir(self, tmp_path, capsys):
         out_dir = tmp_path / "exact"
         path = tmp_path / "predict.cfg"
@@ -538,6 +562,11 @@ class TestDerivedLines:
         # the lhs16 stderr is `** 0.5`; a table where math.sqrt rounds
         # differently shows that this test would catch a switch
         assert roots_differ >= 1
+
+
+def kv_line(key, value):
+    """One structured line, as the reports wrote them one at a time."""
+    return f"{key} = {fmt_value(value)}"
 
 
 def reference_fmt_value(value):

@@ -121,6 +121,57 @@ class TestDrawSettingPair:
         assert chi2 < stats.chi2.ppf(0.999, df=8)
 
 
+# PCG64's 128-bit multiplier; a post-step state whose two 64-bit halves are
+# equal outputs the raw word 0
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_word_rng(k):
+    """A PCG64 generator whose k-th raw word (counted from 0) is 0."""
+    inc = np.random.default_rng(5).bit_generator.state["state"]["inc"]
+    state, step_back = (0x1234567 << 64) | 0x1234567, pow(_PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(k + 1):
+        state = (state - inc) * step_back % 2**128
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+class TestRawWordSettings:
+    """engine._draw_settings against two rng.integers(0, 3, size=n) calls."""
+
+    def test_values_and_state_as_two_integer_calls(self):
+        for seed in range(400):
+            for n in (1, 2, 3, 8, 1001, 4096):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                first, second = engine._draw_settings(ours, n)
+                assert first.dtype == second.dtype == np.int8
+                assert first.tolist() == ref.integers(0, 3, size=n).tolist()
+                assert second.tolist() == ref.integers(0, 3, size=n).tolist()
+                assert ours.bit_generator.state["state"] == ref.bit_generator.state["state"]
+                assert ours.bit_generator.state["has_uint32"] == ref.bit_generator.state["has_uint32"]
+                assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (7, 0), (7, 3), (8, 7), (9, 8), (4096, 2048)])
+    def test_zero_word_is_redrawn_as_numpy_redraws_it(self, n, k):
+        words = zero_word_rng(k).bit_generator.random_raw(n)
+        assert words[k] == 0
+        ours, ref = zero_word_rng(k), zero_word_rng(k)
+        first, second = engine._draw_settings(ours, n)
+        expected = ref.integers(0, 3, size=n).tolist() + ref.integers(0, 3, size=n).tolist()
+        assert first.tolist() + second.tolist() == expected
+        assert ours.random(5).tolist() == ref.random(5).tolist()
+        # numpy rejects the zero word: reading the raw words as they are differs
+        halves = words.astype("<u8", copy=False).view("<u4").astype(np.int64)
+        naive = (halves >= 1431655766) + (halves >= 2863311531)
+        assert naive.tolist() != expected
+
+
 def scalar_quantum_run(state, directions, pair, rng):
     """One run measured step by step with the qubit primitives: each outcome
     drawn from its Born probability, then the state collapsed onto the

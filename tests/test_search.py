@@ -404,3 +404,11 @@ class TestAgainstReference:
     @pytest.mark.parametrize("resolution", [ONE_DEGREE, 0.005, 3 * ONE_DEGREE])
     def test_grid_oracle_bit_for_bit(self, kind, resolution):
         assert grid_oracle(kind, resolution) == reference_grid(kind, resolution)
+
+    @pytest.mark.parametrize("kind", ["EQ16", "EQ18"])
+    def test_pruned_grid_oracle_is_the_exhaustive_scan(self, kind):
+        # with the three resolutions above, 21 in all: from 0.005 rad to 10 rad
+        resolutions = [0.01, 0.013, 0.02, 0.03, 0.045, 0.07, 0.1, 0.15, 0.25, 0.4, 0.6, 0.9]
+        resolutions += [1.0, 1.5, 2.0, 3.0, math.pi, 5.0]
+        for resolution in resolutions:
+            assert grid_oracle(kind, resolution) == reference_grid(kind, resolution), resolution

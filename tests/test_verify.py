@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 
-from seqbell import verify
-from seqbell.verify import check_eq4_identity, run_verification
+from seqbell import lhv, qubit, verify
+from seqbell.lhv import HiddenCountTable
+from seqbell.qubit import Outcome
+from seqbell.verify import CheckResult, check_eq4_identity, run_verification
+
+PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 
 
 def test_every_check_passes_a_bool():
@@ -12,16 +18,107 @@ def test_every_check_passes_a_bool():
 
 
 def test_eq4_tables_are_those_of_2000_draws_of_8(monkeypatch):
-    drawn, table = [], verify.HiddenCountTable
+    drawn, sweep = [], verify._eq4_sweep
 
-    def recording_table(counts):
-        drawn.append(np.asarray(counts).tolist())
-        return table(counts)
+    def recording_sweep(counts, literal_eq3):
+        drawn.extend(counts.tolist())
+        return sweep(counts, literal_eq3)
 
-    monkeypatch.setattr(verify, "HiddenCountTable", recording_table)
+    monkeypatch.setattr(verify, "_eq4_sweep", recording_sweep)
     ours, ref = np.random.default_rng(7), np.random.default_rng(7)
     result = check_eq4_identity(ours)
     expected = [ref.integers(0, 1000, size=8).tolist() for _ in range(2000)]
     assert drawn[:2000] == expected
     assert ours.bit_generator.state == ref.bit_generator.state
     assert result.passed and result.detail == "2001 tables checked"
+
+
+# The state checks and the EQ4 sweep as first written, on qubit objects and
+# one count table at a time: the reference for the float forms.
+
+
+def reference_state_normalization(rng):
+    worst = 0.0
+    for _ in range(1000):
+        psi = qubit.random_state(rng, qubit.random_direction(rng))
+        ap, am = qubit.amplitudes(psi)
+        worst = max(worst, abs(abs(ap) ** 2 + abs(am) ** 2 - 1.0))
+        worst = max(worst, abs(float(np.linalg.norm(qubit.bloch_vector(psi))) - 1.0))
+    return CheckResult("state_normalization", worst <= 1e-12, f"max deviation {worst:.3e}")
+
+
+def reference_born_completeness(rng):
+    worst = 0.0
+    for _ in range(1000):
+        psi = qubit.random_state(rng, qubit.random_direction(rng))
+        x = qubit.random_direction(rng)
+        total = qubit.born_prob(psi, x, PLUS) + qubit.born_prob(psi, x, MINUS)
+        worst = max(worst, abs(total - 1.0))
+    return CheckResult("born_completeness", worst <= 1e-12, f"max deviation {worst:.3e}")
+
+
+def reference_eigenstate_geometry(rng):
+    worst_bloch, worst_overlap = 0.0, 0.0
+    for _ in range(500):
+        x, e = qubit.random_direction(rng), qubit.random_direction(rng)
+        plus = qubit.eigenstate(x, PLUS, e)
+        minus = qubit.eigenstate(x, MINUS, e)
+        worst_bloch = max(
+            worst_bloch,
+            float(np.max(np.abs(qubit.bloch_vector(plus) - x.as_array()))),
+            float(np.max(np.abs(qubit.bloch_vector(minus) + x.as_array()))),
+        )
+        phase = rng.uniform(0, 2 * math.pi)
+        overlap = qubit.overlap(qubit.eigenstate(x, PLUS, e, phase), qubit.eigenstate(x, MINUS, e, phase))
+        worst_overlap = max(worst_overlap, abs(overlap))
+    ok = worst_bloch <= 1e-10 and worst_overlap <= 1e-12
+    return CheckResult("eigenstate_geometry", ok, f"bloch {worst_bloch:.3e}, overlap {worst_overlap:.3e}")
+
+
+def reference_eq4_identity(rng, literal_eq3):
+    rows = [*rng.integers(0, 1000, size=(2000, 8)), np.array([0, 0, 0, 0, 0, 5, 0, 0])]
+    return reference_eq4_sweep(rows, literal_eq3)
+
+
+def reference_eq4_sweep(rows, literal_eq3):
+    tables = [HiddenCountTable(row) for row in rows]
+    for table in tables:
+        report = lhv.check_count_inequality(table, literal_eq3=literal_eq3)
+        if report.margin < 0 or report.margin != lhv.count_inequality_decomposition(table):
+            return CheckResult(
+                "eq4_identity",
+                False,
+                f"margin {report.margin} != decomposition "
+                f"{lhv.count_inequality_decomposition(table)} on {table.counts.tolist()}",
+            )
+    return CheckResult("eq4_identity", True, f"{len(tables)} tables checked")
+
+
+def test_float_checks_are_the_object_checks():
+    checks = (
+        (verify.check_state_normalization, reference_state_normalization),
+        (verify.check_born_completeness, reference_born_completeness),
+        (verify.check_eigenstate_geometry, reference_eigenstate_geometry),
+    )
+    for seed in [*range(20), 2**63, 12345678901]:
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for check, reference in checks:
+            assert check(ours) == reference(ref), seed
+        assert ours.bit_generator.state == ref.bit_generator.state
+        # the next check in the suite, in both modes, from the same state
+        for literal_eq3 in (False, True):
+            state = ours.bit_generator.state
+            ref.bit_generator.state = state
+            result = check_eq4_identity(ours, literal_eq3=literal_eq3)
+            assert result == reference_eq4_identity(ref, literal_eq3), (seed, literal_eq3)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            ours.bit_generator.state = state
+
+
+def test_eq4_sweep_reports_the_first_failing_table():
+    # under the misprint a row passes when its a+b-c- and a-b+c- counts agree
+    counts = np.array([[1, 2, 3, 4, 5, 4, 7, 8], [0, 0, 0, 0, 0, 5, 0, 0], [0, 0, 0, 0, 0, 9, 0, 0]])
+    for literal_eq3 in (False, True):
+        result = verify._eq4_sweep(counts, literal_eq3)
+        assert result == reference_eq4_sweep(counts, literal_eq3)
+    assert result.detail == "margin 0.0 != decomposition 5 on [0, 0, 0, 0, 0, 5, 0, 0]"
