@@ -129,7 +129,9 @@ def _direction_rows(directions, keys=((), (), ())) -> list:
 
 def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, float]:
     """The six inequality probabilities in exact closed form."""
-    law = cell_law(replace(config, mode=Mode.PREPARED if use_prep else Mode.FREE))
+    if (config.mode is Mode.PREPARED) != use_prep:  # the only part of the mode cell_law reads
+        config = replace(config, mode=Mode.PREPARED if use_prep else Mode.FREE)
+    law = cell_law(config)
     return {
         (x, sx, y, sy): float(law[x, y, int(sx < 0), int(sy < 0)]) for x, sx, y, sy in ALL_PROBS
     }

@@ -267,12 +267,13 @@ _GATHER_BLOCK = 8192
 
 
 def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """u >= thresholds[index], gathered one block of runs at a time."""
+    """u >= thresholds[index] as int8 0/1, gathered one block of runs at a time."""
     out = np.empty(len(u), dtype=bool)
     for start in range(0, len(u), _GATHER_BLOCK):
         block = slice(start, start + _GATHER_BLOCK)
-        np.greater_equal(u[block], thresholds[index[block]], out=out[block])
-    return out
+        # np.take: about half the time of indexing with an int8 array
+        np.greater_equal(u[block], np.take(thresholds, index[block]), out=out[block])
+    return out.view(np.int8)  # int8 arithmetic on it needs no cast from bool
 
 
 # numpy's rng.integers(0, 3) maps a 32-bit word w to (3 * w) >> 32, which is
@@ -568,7 +569,7 @@ def write_run_log(result: EnsembleResult, fileobj) -> None:
             for column in range(width - 1, -1, -1):
                 ids, rows[:, column] = np.divmod(ids, 10)
             rows[:, :width] += ord("0")
-            rows[:, width:] = tails[keys[lo:hi]]
+            rows[:, width:] = np.take(tails, keys[lo:hi], axis=0)
             fileobj.write(rows.tobytes().decode("ascii"))
             lo = hi
         start += size

@@ -129,7 +129,7 @@ def sample_triple_indices(dist: TripleDistribution, n: int, rng: np.random.Gener
     u = rng.random(n)
     idx = np.zeros(n, dtype=np.int8)
     for edge in dist._cum[:7]:
-        idx += u >= edge
+        idx += (u >= edge).view(np.int8)
     return idx
 
 

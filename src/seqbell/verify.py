@@ -73,7 +73,7 @@ def check_eigenstate_geometry(rng) -> CheckResult:
             *(abs(r - v) for r, v in zip(plus, x)),
             *(abs(r + v) for r, v in zip(minus, x)),
         )
-        phase = rng.uniform(0, 2 * math.pi)
+        phase = qubit._uniform(rng, 0.0, 2 * math.pi)
         inner = qubit._inner(*qubit._eigen(x, e, True, phase), *qubit._eigen(x, e, False, phase))
         worst_overlap = max(worst_overlap, abs(inner))
     ok = worst_bloch <= 1e-10 and worst_overlap <= 1e-12
@@ -220,7 +220,7 @@ def check_gradient(rng) -> CheckResult:
         for _ in range(100):
             base = []
             for _ in range(3):
-                base += (math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                base += (math.acos(qubit._uniform(rng, -1.0, 1.0)), qubit._uniform(rng, 0.0, 2 * math.pi))
             exact = search.gradient(kind, base).tolist()
             for i in range(6):
                 h = 1e-5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqbell import qubit
 from seqbell.qubit import (
     Direction,
     Outcome,
@@ -278,3 +279,14 @@ class TestPureStateValidation:
     def test_state_from_bloch_rejects_non_unit(self):
         with pytest.raises(ValueError):
             state_from_bloch(np.array([0.5, 0.0, 0.0]))
+
+
+class TestUniformDraw:
+    def test_values_and_state_as_rng_uniform(self):
+        # the bounds the package draws with; -1 and 1 as ints, as verify wrote them
+        bounds = [(-1.0, 1.0), (0.0, 2 * math.pi), (-1, 1), (0, 2 * math.pi)]
+        for seed in range(200):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for low, high in bounds * 50:
+                assert qubit._uniform(ours, float(low), float(high)) == ref.uniform(low, high)
+            assert ours.bit_generator.state == ref.bit_generator.state

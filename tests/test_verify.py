@@ -37,10 +37,24 @@ def test_eq4_tables_are_those_of_2000_draws_of_8(monkeypatch):
 # one count table at a time: the reference for the float forms.
 
 
+def reference_random_direction(rng):
+    while True:
+        v = rng.normal(size=3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            return qubit.Direction.from_array(v / norm)
+
+
+def reference_random_state(rng, e):
+    c = rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(0.0, 2 * math.pi)
+    return qubit.PureState(math.sqrt((1.0 + c) / 2.0), phi, e)
+
+
 def reference_state_normalization(rng):
     worst = 0.0
     for _ in range(1000):
-        psi = qubit.random_state(rng, qubit.random_direction(rng))
+        psi = reference_random_state(rng, reference_random_direction(rng))
         ap, am = qubit.amplitudes(psi)
         worst = max(worst, abs(abs(ap) ** 2 + abs(am) ** 2 - 1.0))
         worst = max(worst, abs(float(np.linalg.norm(qubit.bloch_vector(psi))) - 1.0))
@@ -50,8 +64,8 @@ def reference_state_normalization(rng):
 def reference_born_completeness(rng):
     worst = 0.0
     for _ in range(1000):
-        psi = qubit.random_state(rng, qubit.random_direction(rng))
-        x = qubit.random_direction(rng)
+        psi = reference_random_state(rng, reference_random_direction(rng))
+        x = reference_random_direction(rng)
         total = qubit.born_prob(psi, x, PLUS) + qubit.born_prob(psi, x, MINUS)
         worst = max(worst, abs(total - 1.0))
     return CheckResult("born_completeness", worst <= 1e-12, f"max deviation {worst:.3e}")
@@ -60,7 +74,7 @@ def reference_born_completeness(rng):
 def reference_eigenstate_geometry(rng):
     worst_bloch, worst_overlap = 0.0, 0.0
     for _ in range(500):
-        x, e = qubit.random_direction(rng), qubit.random_direction(rng)
+        x, e = reference_random_direction(rng), reference_random_direction(rng)
         plus = qubit.eigenstate(x, PLUS, e)
         minus = qubit.eigenstate(x, MINUS, e)
         worst_bloch = max(
