@@ -278,7 +278,7 @@ def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.nd
 
 # numpy's rng.integers(0, 3) maps a 32-bit word w to (3 * w) >> 32, which is
 # (w >= 1431655766) + (w >= 2863311531), and redraws only w = 0 (Lemire's
-# bounded method); it takes the low half of each 64-bit raw word, then the high
+# bounded method); PCG64 hands it the low half of each raw word, then the high
 _SETTING_EDGES = (np.uint32(1431655766), np.uint32(2863311531))
 
 
