@@ -362,8 +362,7 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and each command's sub-parser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqbell",
         description="temporal Bell inequalities for consecutive measurements",
@@ -412,25 +411,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--use-literal-eq3", action="store_true", help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
-    return parser, sub.choices
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """The full parser's Namespace for argv, read by the command's own
-    sub-parser; the full parser reads any argv that leaves something over."""
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        parsed, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args = argparse.Namespace(command=argv[0])
-            vars(args).update(vars(parsed))
-            return args
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .lhv import (
     CountTable,
+    PAIR_MARGINAL_KEYS,
     HiddenCountTable,
     Setting,
     SETTINGS,
@@ -86,6 +87,10 @@ def _cell_index(x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome) -> int
         raise ValueError(f"no count cell for {(x, sign_x, y, sign_y)}") from None
 
 
+# the cell of each pair marginal's observed count, in PAIR_MARGINAL_KEYS order
+_MARGINAL_CELLS = [_CELL_INDEX[key] for key in PAIR_MARGINAL_KEYS]
+
+
 class RunCountTable(CountTable):
     """Observed run counts N[x^a y^b], indexed (first setting, second
     setting, first outcome, second outcome) with outcome index 0 = +1."""
@@ -107,6 +112,11 @@ class RunCountTable(CountTable):
         """The (+1, +1), (+1, -1), (-1, +1) and (-1, -1) counts of the pair (x, y)."""
         i = _cell_index(x, 1, y, 1)
         return self._cells[i : i + 4]
+
+    def pair_marginal_counts(self) -> list[int]:
+        """N[x^sx y^sy] of every pair marginal, in PAIR_MARGINAL_KEYS order."""
+        cells = self._cells
+        return [cells[i] for i in _MARGINAL_CELLS]
 
     def pair_total(self, x: Setting, y: Setting) -> int:
         return sum(self.pair_counts(x, y))
@@ -336,7 +346,12 @@ def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
 
 
 def _series_kernel(config: ProtocolConfig):
-    """One series' chunk kernel (n, rng) -> run keys, its invariants bound once."""
+    """One series' chunk kernel (n, rng) -> run keys, its invariants bound once.
+
+    Its settings come from _draw_settings, which gives numpy's values only on
+    a generator that holds no 32-bit half word: call it on a fresh generator,
+    as _draw_chunk does with each chunk's own.
+    """
     if config.model is Model.LHV:
         return partial(_lhv_chunk, config.run_dist)
     dirs = np.array([d.as_array() for d in config.directions])
@@ -462,12 +477,10 @@ def estimate_pair_prob(
     table: RunCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
 ) -> Estimate:
     """P(x^sx, y^sy) with binomial standard error, conditioned on the pair (x, y)."""
-    return _pair_prob(table.pair_total(x, y), table.count(x, sign_x, y, sign_y))
-
-
-def _pair_prob(n: int, k: int) -> Estimate:
+    n = table.pair_total(x, y)
     if n == 0:
         return UNDEFINED_ESTIMATE
+    k = table.count(x, sign_x, y, sign_y)
     p = k / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return Estimate(value=p, stderr=stderr, n_conditioning=n, low_stats=k < 10)
@@ -475,10 +488,7 @@ def _pair_prob(n: int, k: int) -> Estimate:
 
 def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> Estimate:
     """E(x, y) as the signed sum of the four outcome-pair probabilities."""
-    return _expectation(*table.pair_counts(x, y))
-
-
-def _expectation(pp: int, pm: int, mp: int, mm: int) -> Estimate:
+    pp, pm, mp, mm = table.pair_counts(x, y)
     n = pp + pm + mp + mm
     if n == 0:
         return UNDEFINED_ESTIMATE

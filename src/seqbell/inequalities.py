@@ -25,10 +25,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .engine import Estimate, RunCountTable, _cell_index, _expectation, _pair_prob
-from .lhv import (
-    _PAIR_CELLS, PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, check_count_inequality, hidden_marginal
-)
+from .engine import Estimate, RunCountTable, estimate_expectation, estimate_pair_prob
+from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, check_count_inequality, hidden_marginal
 from .qubit import Direction, Outcome, PureState, born_prob, dot
 from .reporting import DEFAULT_SIGMA, InequalityReport, undefined_report
 
@@ -42,12 +40,6 @@ PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 PAIRS = ((A, B), (B, C), (A, C))
 EQ7_PROBS = ((A, PLUS, C, MINUS), (A, PLUS, B, MINUS), (B, PLUS, C, MINUS))
 EQ8_PROBS = ((A, MINUS, C, PLUS), (A, MINUS, B, PLUS), (B, MINUS, C, PLUS))
-
-# the table cells each estimate reads: a pair's four from its first, a
-# probability's own; and each pair marginal's two realities and its run cell
-_PAIR_START = {(x, y): _cell_index(x, PLUS, y, PLUS) for x, y in PAIRS}
-_PROB_CELLS = {k: (_cell_index(k[0], PLUS, k[2], PLUS), _cell_index(*k)) for k in EQ7_PROBS + EQ8_PROBS}
-_EQ5_CELLS = {key: (*_PAIR_CELLS[key], _cell_index(*key)) for key in PAIR_MARGINAL_KEYS}
 
 
 def quantum_pair_prob(
@@ -161,9 +153,8 @@ def evaluate_table(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA)
     """Every observable statistic of one 36-cell count table: the E estimates
     keyed by PAIRS, the EQ7/EQ8 probabilities keyed by (x, sx, y, sy), and the
     EQ6, EQ7, EQ8 and EQ10 reports."""
-    cells = table._cells
-    expectations = {pair: _expectation(*cells[i : i + 4]) for pair, i in _PAIR_START.items()}
-    probs = {key: _pair_prob(sum(cells[i : i + 4]), cells[k]) for key, (i, k) in _PROB_CELLS.items()}
+    expectations = {(x, y): estimate_expectation(table, x, y) for (x, y) in PAIRS}
+    probs = {key: estimate_pair_prob(table, *key) for key in EQ7_PROBS + EQ8_PROBS}
     reports = [
         eval_eq6(table, sigma_threshold),
         eval_eq7(*(probs[k] for k in EQ7_PROBS), sigma_threshold),
@@ -206,8 +197,8 @@ def eq5_ratio(
 
 def eq5_ratios(hidden: HiddenCountTable, runs: RunCountTable) -> dict[tuple, Eq5Ratio]:
     """eq5_ratio of every pair marginal, keyed as PAIR_MARGINAL_KEYS."""
-    h, r = hidden._cells, runs._cells
-    return {key: _eq5(h[i] + h[j], r[k]) for key, (i, j, k) in _EQ5_CELLS.items()}
+    pairs = zip(hidden.pair_marginals(), runs.pair_marginal_counts())
+    return {key: _eq5(*pair) for key, pair in zip(PAIR_MARGINAL_KEYS, pairs)}
 
 
 def _eq5(marginal: int, observed: int) -> Eq5Ratio:

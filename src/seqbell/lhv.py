@@ -165,6 +165,11 @@ class HiddenCountTable(CountTable):
 
     _SHAPE = (8,)
 
+    def pair_marginals(self) -> list[int]:
+        """Every pair marginal N(x^sx y^sy), in PAIR_MARGINAL_KEYS order."""
+        cells = self._cells
+        return [cells[i] + cells[j] for i, j in _PAIR_CELLS.values()]
+
 
 def _marginal_cells(x, sign_x, y, sign_y, literal_eq3: bool = False) -> tuple[int, int]:
     """The two realities counted by the pair marginal N(x^sx y^sy), as indices."""

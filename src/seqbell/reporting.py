@@ -123,10 +123,9 @@ def render(report_format: str, command: str, title: str | None, config, rows) ->
         if config is not None:
             lines.append(f"config.digest = {digest}")
             lines += ["config." + line for line in protocol]
-        # fmt_value, with its three commonest types tested inline
+        text = _TEXT.get  # fmt_value's first step, taken here for its common types
         lines += [
-            key + (repr(v) if (t := type(v)) is float else str(v) if t is int
-                   else ("true" if v else "false") if t is bool else fmt_value(v))
+            key + (f(v) if (f := text(type(v))) else fmt_value(v))
             for _, keys, values in rows for key, v in zip(keys, values)
         ]
     else:

@@ -19,7 +19,7 @@ from . import engine, inequalities, lhv, qubit, search
 from .lhv import Setting
 from .qubit import Outcome
 
-PLUS = Outcome.PLUS
+PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,15 @@ def _random_directions(rng) -> dict:
 
 
 # The three state checks compute on floats through qubit's float forms, with
-# the draws, in the same order, of the same checks on qubit objects.
+# the draws, in the same order, of the same checks on qubit objects.  Each
+# check's first draw goes through the object functions, so they are checked too.
 
 
 def check_state_normalization(rng) -> CheckResult:
-    worst, blochs = 0.0, []
-    for _ in range(1000):
+    psi = qubit.random_state(rng, qubit.random_direction(rng))
+    ap, am = qubit.amplitudes(psi)
+    worst, blochs = abs(abs(ap) ** 2 + abs(am) ** 2 - 1.0), [qubit.bloch_vector(psi).tolist()]
+    for _ in range(999):
         e = qubit._random_unit(rng)
         s, phi = qubit._random_amplitude(rng)
         ap, am = qubit._amplitudes(s, phi)
@@ -53,8 +56,10 @@ def check_state_normalization(rng) -> CheckResult:
 
 
 def check_born_completeness(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
+    psi = qubit.random_state(rng, qubit.random_direction(rng))
+    x = qubit.random_direction(rng)
+    worst = abs(qubit.born_prob(psi, x, PLUS) + qubit.born_prob(psi, x, MINUS) - 1.0)
+    for _ in range(999):
         e = qubit._random_unit(rng)
         r = qubit._bloch(*qubit._random_amplitude(rng), e)
         x = qubit._random_unit(rng)
@@ -63,8 +68,13 @@ def check_born_completeness(rng) -> CheckResult:
 
 
 def check_eigenstate_geometry(rng) -> CheckResult:
-    worst_bloch, worst_overlap = 0.0, 0.0
-    for _ in range(500):
+    x, e = qubit.random_direction(rng), qubit.random_direction(rng)
+    plus, minus = (qubit.bloch_vector(qubit.eigenstate(x, o, e)) for o in (PLUS, MINUS))
+    worst_bloch = float(max(np.abs(plus - x.as_array()).max(), np.abs(minus + x.as_array()).max()))
+    phase = qubit._uniform(rng, 0.0, 2 * math.pi)
+    pair = (qubit.eigenstate(x, o, e, phase) for o in (PLUS, MINUS))
+    worst_overlap = abs(qubit.overlap(*pair))
+    for _ in range(499):
         x, e = qubit._random_unit(rng), qubit._random_unit(rng)
         plus = qubit._bloch(*qubit._eigen(x, e, True), e)
         minus = qubit._bloch(*qubit._eigen(x, e, False), e)

@@ -172,6 +172,23 @@ class TestRawWordSettings:
         assert naive.tolist() != expected
 
 
+    def test_needs_a_generator_without_a_half_word(self):
+        # a 32-bit draw leaves the high half of its raw word buffered, and
+        # numpy's next 32-bit draw takes it; the raw words skip it
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for rng in (ours, ref):
+            rng.integers(0, 3, size=1)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        first, second = engine._draw_settings(ours, 64)
+        expected = ref.integers(0, 3, size=64).tolist() + ref.integers(0, 3, size=64).tolist()
+        assert first.tolist() + second.tolist() != expected
+
+
+def two_integer_settings(rng, n):
+    """The settings as the chunk kernels first drew them: two integers calls."""
+    return tuple(rng.integers(0, 3, size=n).astype(np.int8) for _ in range(2))
+
+
 def scalar_quantum_run(state, directions, pair, rng):
     """One run measured step by step with the qubit primitives: each outcome
     drawn from its Born probability, then the state collapsed onto the
@@ -416,6 +433,26 @@ class TestChunkKernels:
                 else:
                     assert triples.dtype == ref_triples.dtype
                     assert triples.tobytes() == ref_triples.tobytes()
+
+    @pytest.mark.parametrize("config", _oracle_cases())
+    def test_raw_word_settings_keep_values_and_stream(self, config, monkeypatch):
+        # each kernel on a fresh chunk generator, as the engine calls it,
+        # against the same kernel drawing its settings with two integers calls
+        kernel = engine._series_kernel(config)
+        for seed, series, chunk_index in ((0, 0, 0), (7, 1, 3), (2**64 - 1, 0, 152587)):
+            for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
+                ours = engine._chunk_rng(seed, series, chunk_index)
+                keys = kernel(size, ours)
+                with monkeypatch.context() as patched:
+                    patched.setattr(engine, "_draw_settings", two_integer_settings)
+                    ref = engine._chunk_rng(seed, series, chunk_index)
+                    ref_keys = kernel(size, ref)
+                assert keys.dtype == ref_keys.dtype
+                assert keys.tobytes() == ref_keys.tobytes()
+                # "uinteger" is a stale half word once "has_uint32" is 0
+                for field in ("state", "has_uint32"):
+                    assert ours.bit_generator.state[field] == ref.bit_generator.state[field]
+                assert ours.integers(0, 3, size=5).tolist() == ref.integers(0, 3, size=5).tolist()
 
     @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.LHV])
     def test_lhv_fold_is_exact(self, config):

@@ -15,6 +15,7 @@ from seqbell.engine import (
 from seqbell.inequalities import (
     Eq5Ratio,
     eq5_ratio,
+    eq5_ratios,
     eq16_report,
     eq18_report,
     eval_eq4,
@@ -27,6 +28,7 @@ from seqbell.inequalities import (
     quantum_pair_prob,
 )
 from seqbell.lhv import (
+    PAIR_MARGINAL_KEYS,
     TRIPLE_LABELS,
     HiddenCountTable,
     Setting,
@@ -320,6 +322,18 @@ class TestEq5Ratio:
         runs = RunCountTable.zero()
         ratio = eq5_ratio(hidden, runs, A, PLUS, B, MINUS)
         assert not ratio.defined
+
+    def test_all_ratios_are_the_single_ratios(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            # some realities and cells empty, so some ratios are undefined
+            hidden = HiddenCountTable(rng.integers(0, 50, size=8) * (rng.random(8) < 0.6))
+            runs = RunCountTable(rng.integers(0, 50, size=(3, 3, 2, 2)))
+            ratios = eq5_ratios(hidden, runs)
+            assert list(ratios) == list(PAIR_MARGINAL_KEYS)
+            for key, ratio in ratios.items():
+                single = eq5_ratio(hidden, runs, *key)
+                assert repr(ratio) == repr(single)  # nan compares unequal, its repr does not
 
 
 class TestEq4Alias:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from seqbell import lhv, qubit, verify
 from seqbell.lhv import HiddenCountTable
@@ -136,3 +137,26 @@ def test_eq4_sweep_reports_the_first_failing_table():
         result = verify._eq4_sweep(counts, literal_eq3)
         assert result == reference_eq4_sweep(counts, literal_eq3)
     assert result.detail == "margin 0.0 != decomposition 5 on [0, 0, 0, 0, 0, 5, 0, 0]"
+
+
+_BORN, _BLOCH, _EIGENSTATE = qubit.born_prob, qubit.bloch_vector, qubit.eigenstate
+
+
+@pytest.mark.parametrize(
+    "name, broken, check",
+    [
+        ("amplitudes", lambda psi: (complex(psi.s), 0j), verify.check_state_normalization),
+        ("bloch_vector", lambda psi: 1.5 * _BLOCH(psi), verify.check_state_normalization),
+        ("born_prob", lambda psi, x, o: _BORN(psi, x, PLUS), verify.check_born_completeness),
+        (
+            "eigenstate",
+            lambda x, o, e, phase=None: _EIGENSTATE(x, PLUS, e, phase),
+            verify.check_eigenstate_geometry,
+        ),
+    ],
+)
+def test_state_checks_catch_an_error_in_the_object_functions(monkeypatch, name, broken, check):
+    # each check's first draw goes through qubit's object functions
+    assert check(np.random.default_rng(5)).passed
+    monkeypatch.setattr(qubit, name, broken)
+    assert not check(np.random.default_rng(5)).passed
