@@ -541,15 +541,18 @@ def two_series_estimate(
 # rows per write of the run log: 65536-row blocks raise the peak RSS of a
 # process writing two 10^5-run logs by about 7 MB
 _LOG_BLOCK = 8192
+# the last four digits of every run id, in ASCII, indexed by id % 10**4
+_LOW_DIGITS = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode("ascii"), np.uint8).reshape(-1, 4)
 
 
 def write_run_log(result: EnsembleResult, fileobj) -> None:
     """CSV run log, one data row per run, written to a text handle.
 
     Rows are regenerated one chunk at a time and written in blocks of at
-    most _LOG_BLOCK rows whose run ids have one width: a uint8 matrix of the
-    id's digit columns, then the row's tail gathered by run key.  Memory
-    stays bounded by the chunk size whatever the number of runs.
+    most _LOG_BLOCK rows whose run ids have one width and one quotient by
+    10**4: a uint8 matrix of that quotient's digits, the ids' last four
+    digits sliced from _LOW_DIGITS, then the row's tail gathered by run key.
+    Memory stays bounded by the chunk size whatever the number of runs.
     """
     config = result.config
     prep = (
@@ -572,13 +575,13 @@ def write_run_log(result: EnsembleResult, fileobj) -> None:
         keys = _draw_chunk(config, kernel, result.series, i, size)
         lo = 0
         while lo < size:
+            high, low = divmod(start + lo, 10**4)
             width = len(str(start + lo))
-            hi = min(size, lo + _LOG_BLOCK, 10**width - start)
+            hi = min(size, lo + _LOG_BLOCK, 10**width - start, lo + 10**4 - low)
             rows = np.empty((hi - lo, width + tails.shape[1]), dtype=np.uint8)
-            ids = np.arange(start + lo, start + hi)
-            for column in range(width - 1, -1, -1):
-                ids, rows[:, column] = np.divmod(ids, 10)
-            rows[:, :width] += ord("0")
+            if high:
+                rows[:, : width - 4] = np.frombuffer(str(high).encode("ascii"), np.uint8)
+            rows[:, max(0, width - 4) : width] = _LOW_DIGITS[low : low + hi - lo, max(0, 4 - width) :]
             rows[:, width:] = np.take(tails, keys[lo:hi], axis=0)
             fileobj.write(rows.tobytes().decode("ascii"))
             lo = hi

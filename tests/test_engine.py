@@ -1043,6 +1043,14 @@ class TestRunLogBlocks:
         reference_run_log(EnsembleResult(config, RunCountTable.zero(), None), ref)
         assert ours.getvalue() == ref.getvalue()
 
+    def test_ids_cross_multiples_of_ten_thousand(self):
+        # chunks that start off a multiple of 10**4, ids past 99999 -> 100000
+        config = quantum_config(n_runs=100_010, chunk_size=30_007)
+        ours, ref = io.StringIO(), io.StringIO()
+        write_run_log(EnsembleResult(config, RunCountTable.zero(), None), ours)
+        reference_run_log(EnsembleResult(config, RunCountTable.zero(), None), ref)
+        assert ours.getvalue() == ref.getvalue()
+
     def test_memory_bounded_at_largest_chunk(self, monkeypatch):
         # the writer's own memory, beyond the chunk's keys, must not grow
         # with the chunk: one 2^22-run chunk, its keys drawn beforehand
