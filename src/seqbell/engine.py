@@ -541,8 +541,9 @@ def two_series_estimate(
 # rows per write of the run log: 65536-row blocks raise the peak RSS of a
 # process writing two 10^5-run logs by about 7 MB
 _LOG_BLOCK = 8192
-# the last four digits of every run id, in ASCII, indexed by id % 10**4
-_LOW_DIGITS = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode("ascii"), np.uint8).reshape(-1, 4)
+# the last four digits of every run id in ASCII, by id % 10**4 (grids: cheap at import)
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_LOW_DIGITS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
 
 
 def write_run_log(result: EnsembleResult, fileobj) -> None:

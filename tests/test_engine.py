@@ -184,11 +184,6 @@ class TestRawWordSettings:
         assert first.tolist() + second.tolist() != expected
 
 
-def two_integer_settings(rng, n):
-    """The settings as the chunk kernels first drew them: two integers calls."""
-    return tuple(rng.integers(0, 3, size=n).astype(np.int8) for _ in range(2))
-
-
 def scalar_quantum_run(state, directions, pair, rng):
     """One run measured step by step with the qubit primitives: each outcome
     drawn from its Born probability, then the state collapsed onto the
@@ -355,7 +350,8 @@ class TestCellLaw:
 def reference_chunk_cells(config, series, chunk_index, size):
     """The chunk samplers in their first, explicit formulation: +/-1 outcome
     arrays from np.where or from reality components, a binary search for
-    the reality, then the cell arithmetic.  Same stream, same draw order."""
+    the reality, then the cell arithmetic.  Same stream, same draw order.
+    Returns the cells, the realities (lhv) and the generator after the draw."""
     rng = engine._chunk_rng(config.seed, series, chunk_index)
     prepared = config.mode is Mode.PREPARED
     triples = None
@@ -383,7 +379,7 @@ def reference_chunk_cells(config, series, chunk_index, size):
         o1 = TRIPLE_COMPONENTS[triples, first]
         o2 = TRIPLE_COMPONENTS[triples, second]
     cell = (first * 3 + second) * 4 + (o1 < 0) * np.int8(2) + (o2 < 0)
-    return cell, triples
+    return cell, triples, rng
 
 
 def _oracle_cases():
@@ -408,13 +404,14 @@ def _oracle_cases():
 
 
 def chunk_cells(config, series, chunk_index, size):
-    """One chunk as the engine draws it: each run's cell and, for the lhv
-    model, its reality, both read off the run keys."""
-    kernel = engine._series_kernel(config)
-    key = engine._draw_chunk(config, kernel, series, chunk_index, size)
+    """One chunk as the engine draws it, on the chunk's own fresh generator:
+    each run's cell and, for the lhv model, its reality, both read off the
+    run keys; and the generator after the draw."""
+    rng = engine._chunk_rng(config.seed, series, chunk_index)
+    key = engine._series_kernel(config)(size, rng)
     if config.model is Model.QUANTUM:
-        return key, None
-    return engine._LHV_CELLS[key], key // 9
+        return key, None, rng
+    return engine._LHV_CELLS[key], key // 9, rng
 
 
 class TestChunkKernels:
@@ -424,8 +421,8 @@ class TestChunkKernels:
             config = replace(config, seed=seed)
             # the last size spans three blocks of the threshold gathers
             for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
-                cell, triples = chunk_cells(config, series, chunk_index, size)
-                ref_cell, ref_triples = reference_chunk_cells(config, series, chunk_index, size)
+                cell, triples, rng = chunk_cells(config, series, chunk_index, size)
+                ref_cell, ref_triples, ref_rng = reference_chunk_cells(config, series, chunk_index, size)
                 assert cell.dtype == ref_cell.dtype
                 assert cell.tobytes() == ref_cell.tobytes()
                 if ref_triples is None:
@@ -433,26 +430,10 @@ class TestChunkKernels:
                 else:
                     assert triples.dtype == ref_triples.dtype
                     assert triples.tobytes() == ref_triples.tobytes()
-
-    @pytest.mark.parametrize("config", _oracle_cases())
-    def test_raw_word_settings_keep_values_and_stream(self, config, monkeypatch):
-        # each kernel on a fresh chunk generator, as the engine calls it,
-        # against the same kernel drawing its settings with two integers calls
-        kernel = engine._series_kernel(config)
-        for seed, series, chunk_index in ((0, 0, 0), (7, 1, 3), (2**64 - 1, 0, 152587)):
-            for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
-                ours = engine._chunk_rng(seed, series, chunk_index)
-                keys = kernel(size, ours)
-                with monkeypatch.context() as patched:
-                    patched.setattr(engine, "_draw_settings", two_integer_settings)
-                    ref = engine._chunk_rng(seed, series, chunk_index)
-                    ref_keys = kernel(size, ref)
-                assert keys.dtype == ref_keys.dtype
-                assert keys.tobytes() == ref_keys.tobytes()
-                # "uinteger" is a stale half word once "has_uint32" is 0
+                # the raw-word settings leave the stream where two integers
+                # calls leave it ("uinteger" is stale once "has_uint32" is 0)
                 for field in ("state", "has_uint32"):
-                    assert ours.bit_generator.state[field] == ref.bit_generator.state[field]
-                assert ours.integers(0, 3, size=5).tolist() == ref.integers(0, 3, size=5).tolist()
+                    assert rng.bit_generator.state[field] == ref_rng.bit_generator.state[field]
 
     @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.LHV])
     def test_lhv_fold_is_exact(self, config):
@@ -462,7 +443,7 @@ class TestChunkKernels:
         for series, chunk_index in ((0, 0), (1, 3)):
             for size in (1, 7, 4099):
                 counts, hidden = engine._run_chunk(config, kernel, series, chunk_index, size)
-                cell, triples = chunk_cells(config, series, chunk_index, size)
+                cell, triples, _ = chunk_cells(config, series, chunk_index, size)
                 assert counts.dtype == hidden.dtype == np.int64
                 assert np.array_equal(counts, np.bincount(cell, minlength=36))
                 assert np.array_equal(hidden, np.bincount(triples, minlength=8))
