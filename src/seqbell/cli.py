@@ -291,23 +291,18 @@ def _make_out_dir(config: ExperimentConfig) -> Path | None:
     return out
 
 
-def _write_outputs(out: Path, config: ExperimentConfig, text: str, results: dict) -> None:
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    for suffix, result in results.items():
-        (out / f"counts{suffix}.csv").write_text(result.table.to_csv_text(), encoding="utf-8")
-        if config.log_runs:
-            with open(out / f"runs{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
-                write_run_log(result, fh)
+def _write_report(text: str, out: Path | None, name: str) -> int:
+    """Write the report to stdout, then the same text to out/name if there is an out dir."""
+    sys.stdout.write(text)
+    if out is not None:
+        (out / name).write_text(text, encoding="utf-8")
+    return 0
 
 
 def cmd_predict(args) -> int:
     config = _load(args)
     out = _make_out_dir(config)
-    text = build_predict_report(config, use_prep=args.prep)
-    sys.stdout.write(text)
-    if out is not None:
-        (out / "predict.txt").write_text(text, encoding="utf-8")
-    return 0
+    return _write_report(build_predict_report(config, use_prep=args.prep), out, "predict.txt")
 
 
 def cmd_simulate(args) -> int:
@@ -325,9 +320,13 @@ def cmd_simulate(args) -> int:
         result = run_ensemble(config, workers=args.workers)
         text = build_simulate_report(config, result)
         results = {"": result}
-    sys.stdout.write(text)
+    _write_report(text, out, "report.txt")
     if out is not None:
-        _write_outputs(out, config, text, results)
+        for suffix, result in results.items():
+            (out / f"counts{suffix}.csv").write_text(result.table.to_csv_text(), encoding="utf-8")
+            if config.log_runs:
+                with open(out / f"runs{suffix}.csv", "w", encoding="utf-8", newline="") as fh:
+                    write_run_log(result, fh)
     return 0
 
 
@@ -341,10 +340,7 @@ def cmd_optimize(args) -> int:
     )
     out = _make_out_dir(config)
     text = build_optimize_report(config, settings, use_reference_start=args.reference_start)
-    sys.stdout.write(text)
-    if out is not None:
-        (out / "optimize.txt").write_text(text, encoding="utf-8")
-    return 0
+    return _write_report(text, out, "optimize.txt")
 
 
 def cmd_verify(args) -> int:

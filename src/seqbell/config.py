@@ -305,7 +305,12 @@ def parse_config(text: str = "", **overrides) -> ExperimentConfig:
 
 def load_config(path, **overrides) -> ExperimentConfig:
     with open(path, "rb") as fh:  # bytes, then text: faster than a text handle
-        return parse_config(fh.read().decode("utf-8"), **overrides)
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_config(text, **overrides)
 
 
 def apply_overrides(config, **overrides):

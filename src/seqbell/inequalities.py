@@ -96,23 +96,15 @@ def eval_eq6(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA) -> In
     )
 
 
-def _prob_triplet_report(
-    inequality_id: str,
-    lhs_prob: Estimate,
-    rhs_prob_1: Estimate,
-    rhs_prob_2: Estimate,
-    sigma_threshold: float,
+def _estimated_report(
+    inequality_id: str, lhs: float, rhs: float, estimates, sigma_threshold: float
 ) -> InequalityReport:
-    if not (lhs_prob.defined and rhs_prob_1.defined and rhs_prob_2.defined):
+    """An inequality on three estimates: undefined unless all three are
+    defined, with their standard errors added in quadrature."""
+    if not all(e.defined for e in estimates):
         return undefined_report(inequality_id, sigma_threshold)
-    stderr = math.sqrt(lhs_prob.stderr**2 + rhs_prob_1.stderr**2 + rhs_prob_2.stderr**2)
-    return InequalityReport(
-        inequality_id,
-        lhs=lhs_prob.value,
-        rhs=rhs_prob_1.value + rhs_prob_2.value,
-        stderr_margin=stderr,
-        sigma_threshold=sigma_threshold,
-    )
+    stderr = math.sqrt(sum(e.stderr**2 for e in estimates))
+    return InequalityReport(inequality_id, lhs, rhs, stderr, sigma_threshold)
 
 
 def eval_eq7(
@@ -122,7 +114,8 @@ def eval_eq7(
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a+,c-) <= P(a+,b-) + P(b+,c-) on estimated probabilities."""
-    return _prob_triplet_report("EQ7", p_ac, p_ab, p_bc, sigma_threshold)
+    rhs = p_ab.value + p_bc.value
+    return _estimated_report("EQ7", p_ac.value, rhs, (p_ac, p_ab, p_bc), sigma_threshold)
 
 
 def eval_eq8(
@@ -132,21 +125,14 @@ def eval_eq8(
     sigma_threshold: float = DEFAULT_SIGMA,
 ) -> InequalityReport:
     """P(a-,c+) <= P(a-,b+) + P(b-,c+) on estimated probabilities."""
-    return _prob_triplet_report("EQ8", p_ac, p_ab, p_bc, sigma_threshold)
+    rhs = p_ab.value + p_bc.value
+    return _estimated_report("EQ8", p_ac.value, rhs, (p_ac, p_ab, p_bc), sigma_threshold)
 
 
 def eval_eq10(e_ab, e_bc, e_ac, sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:
     """E(a,b) + E(b,c) - E(a,c) <= 1 on expectation estimates."""
-    if not (e_ab.defined and e_bc.defined and e_ac.defined):
-        return undefined_report("EQ10", sigma_threshold)
-    stderr = math.sqrt(e_ab.stderr**2 + e_bc.stderr**2 + e_ac.stderr**2)
-    return InequalityReport(
-        "EQ10",
-        lhs=e_ab.value + e_bc.value - e_ac.value,
-        rhs=1.0,
-        stderr_margin=stderr,
-        sigma_threshold=sigma_threshold,
-    )
+    lhs = e_ab.value + e_bc.value - e_ac.value
+    return _estimated_report("EQ10", lhs, 1.0, (e_ab, e_bc, e_ac), sigma_threshold)
 
 
 def evaluate_table(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA):

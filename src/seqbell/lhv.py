@@ -171,38 +171,16 @@ class HiddenCountTable(CountTable):
         return [cells[i] + cells[j] for i, j in _PAIR_CELLS.values()]
 
 
-def _marginal_cells(x, sign_x, y, sign_y, literal_eq3: bool = False) -> tuple[int, int]:
-    """The two realities counted by the pair marginal N(x^sx y^sy), as indices."""
+def hidden_marginal(
+    table: HiddenCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
+) -> int:
+    """Pair marginal N(x^sx y^sy): realities consistent with both components."""
     if x == y:
         raise ValueError("pair marginal needs two distinct settings")
-    if (
-        literal_eq3
-        and {x, y} == {Setting.B, Setting.C}
-        and {(x, sign_x), (y, sign_y)} == {(Setting.B, Outcome.PLUS), (Setting.C, Outcome.MINUS)}
-    ):
-        return _PAIR_CELLS[Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS]
     try:
-        return _PAIR_CELLS[x, sign_x, y, sign_y]
+        i, j = _PAIR_CELLS[x, sign_x, y, sign_y]
     except KeyError:
         raise ValueError(f"no pair marginal for {(x, sign_x, y, sign_y)}") from None
-
-
-def hidden_marginal(
-    table: HiddenCountTable,
-    x: Setting,
-    sign_x: Outcome,
-    y: Setting,
-    sign_y: Outcome,
-    *,
-    literal_eq3: bool = False,
-) -> int:
-    """Pair marginal N(x^sx y^sy): realities consistent with both components.
-
-    literal_eq3 reproduces a misprinted defining relation in which N(b+c-)
-    duplicates the cells of N(a+c-); it exists only so the built-in verifier
-    can demonstrate that the misprint breaks the EQ4 margin identity.
-    """
-    i, j = _marginal_cells(x, sign_x, y, sign_y, literal_eq3)
     return table._cells[i] + table._cells[j]
 
 
@@ -211,12 +189,16 @@ EQ4_DECOMPOSITION_CELLS = (2, 5)
 
 
 def eq4_cells(literal_eq3: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The realities summed by each side of EQ4: N(a+c-), and N(a+b-) + N(b+c-)."""
-    lhs = _marginal_cells(Setting.A, Outcome.PLUS, Setting.C, Outcome.MINUS)
-    rhs = _marginal_cells(Setting.A, Outcome.PLUS, Setting.B, Outcome.MINUS) + _marginal_cells(
-        Setting.B, Outcome.PLUS, Setting.C, Outcome.MINUS, literal_eq3
-    )
-    return lhs, rhs
+    """The realities summed by each side of EQ4: N(a+c-), and N(a+b-) + N(b+c-).
+
+    literal_eq3 reproduces a misprinted defining relation in which N(b+c-)
+    duplicates the cells of N(a+c-); it exists only so the built-in verifier
+    can demonstrate that the misprint breaks the EQ4 margin identity.
+    """
+    A, B, C, PLUS, MINUS = Setting.A, Setting.B, Setting.C, Outcome.PLUS, Outcome.MINUS
+    lhs = _PAIR_CELLS[A, PLUS, C, MINUS]
+    bc = lhs if literal_eq3 else _PAIR_CELLS[B, PLUS, C, MINUS]
+    return lhs, _PAIR_CELLS[A, PLUS, B, MINUS] + bc
 
 
 def count_inequality_decomposition(table: HiddenCountTable) -> int:

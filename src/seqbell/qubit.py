@@ -79,12 +79,21 @@ class Direction:
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
-def direction_from_spherical(theta: float, phi: float) -> Direction:
-    """Build the unit vector with polar angle theta and azimuth phi."""
+def _unit(theta: float, phi: float) -> tuple[float, float, float]:
+    """direction_from_spherical's components, with Direction's renormalization."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"angles must be finite, got theta={theta!r}, phi={phi!r}")
     st = math.sin(theta)
-    return Direction(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+    x, y, z = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    norm = math.sqrt(x * x + y * y + z * z)
+    if abs(norm - 1.0) > UNIT_ATOL:
+        return x / norm, y / norm, z / norm
+    return x, y, z
+
+
+def direction_from_spherical(theta: float, phi: float) -> Direction:
+    """Build the unit vector with polar angle theta and azimuth phi."""
+    return Direction(*_unit(theta, phi))
 
 
 def dot(d1: Direction, d2: Direction) -> float:

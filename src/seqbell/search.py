@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import UNIT_ATOL, Direction, direction_from_spherical
+from .qubit import Direction, _unit, direction_from_spherical
 
 TWO_PI = 2.0 * math.pi
 OBJECTIVE_KINDS = ("EQ16", "EQ18")
@@ -98,18 +98,6 @@ class SearchResult:
     trajectory: tuple[float, ...]
 
 
-def _unit(theta: float, phi: float) -> tuple[float, float, float]:
-    """direction_from_spherical's components, with Direction's renormalization."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError(f"angles must be finite, got theta={theta!r}, phi={phi!r}")
-    st = math.sin(theta)
-    x, y, z = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > UNIT_ATOL:
-        return x / norm, y / norm, z / norm
-    return x, y, z
-
-
 def _dot(u, v) -> float:
     return min(1.0, max(-1.0, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
 
@@ -120,7 +108,12 @@ def objective(kind: str, angles) -> float:
     kind = _normalize_kind(kind)
     ta, pa, tb, pb, tc, pc = angles
     a, b, c = _unit(ta, pa), _unit(tb, pb), _unit(tc, pc)
-    ab, ac, bc = _dot(a, b), _dot(a, c), _dot(b, c)
+    return _lhs(kind, _dot(a, b), _dot(a, c), _dot(b, c))
+
+
+def _lhs(kind: str, ab, ac, bc):
+    """lhs16 or lhs18 from the three dot products, with the same IEEE steps
+    on floats and on arrays."""
     return ab - ac + bc if kind == "EQ16" else ab + bc - 2.0 * ac + ab * bc
 
 
@@ -283,19 +276,13 @@ def grid_oracle(kind: str, resolution: float) -> float:
     ab, ac = np.meshgrid(np.cos(theta), np.cos(theta), indexing="ij")
     cos_cos = ab * ac
     sin_sin = np.multiply.outer(np.sin(theta), np.sin(theta))
-
-    def values(bc, ab, ac):
-        if kind == "EQ16":
-            return ab - ac + bc
-        return ab + bc - 2.0 * ac + ab * bc
-
-    at_zero = values(cos_cos + sin_sin, ab, ac)  # cos(0) = 1.0: sin_sin * 1.0 is sin_sin
+    at_zero = _lhs(kind, ab, ac, cos_cos + sin_sin)  # cos(0) = 1.0: sin_sin * 1.0 is sin_sin
     best = float(at_zero.max())
     near = at_zero >= best - 1e-12
     cos_k = np.array([math.cos(k * TWO_PI / n_phi) for k in range(1, n_phi)])
     bc = cos_cos[near] + sin_sin[near] * cos_k[:, None]
     if bc.size:
-        best = max(best, float(values(bc, ab[near], ac[near]).max()))
+        best = max(best, float(_lhs(kind, ab[near], ac[near], bc).max()))
     return best
 
 

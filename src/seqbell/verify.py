@@ -92,37 +92,24 @@ def check_eigenstate_geometry(rng) -> CheckResult:
     )
 
 
-def _perfect_correlation(config) -> CheckResult:
-    result = engine.run_ensemble(config)
+def _ensemble(seed, n_runs, directions, **population):
+    """A free-mode run ensemble at the given directions (as _random_directions
+    gives them), of the quantum model for state= or the lhv one for weights=."""
+    model = engine.Model.LHV if "weights" in population else engine.Model.QUANTUM
+    return engine.run_ensemble(
+        engine.ProtocolConfig(model=model, **directions, n_runs=n_runs, seed=seed, **population)
+    )
+
+
+def check_perfect_correlation(rng, seed, model: engine.Model) -> CheckResult:
+    directions = _random_directions(rng)
+    if model is engine.Model.QUANTUM:
+        result = _ensemble(seed, 2 * 10**5, directions, state=qubit.random_state(rng))
+    else:
+        result = _ensemble(seed, 2 * 10**5, directions, weights=tuple(rng.random(8) + 0.01))
     same, agree = result.table.same_setting_totals()
     ok = same > 0 and agree == same
-    return CheckResult(
-        f"perfect_correlation_{config.model.value}", ok, f"{agree}/{same} same-setting runs agree"
-    )
-
-
-def check_perfect_correlation_quantum(rng, seed) -> CheckResult:
-    config = engine.ProtocolConfig(
-        mode=engine.Mode.FREE,
-        model=engine.Model.QUANTUM,
-        **_random_directions(rng),
-        n_runs=2 * 10**5,
-        seed=seed,
-        state=qubit.random_state(rng),
-    )
-    return _perfect_correlation(config)
-
-
-def check_perfect_correlation_lhv(rng, seed) -> CheckResult:
-    config = engine.ProtocolConfig(
-        mode=engine.Mode.FREE,
-        model=engine.Model.LHV,
-        **_random_directions(rng),
-        n_runs=2 * 10**5,
-        seed=seed,
-        weights=tuple(rng.random(8) + 0.01),
-    )
-    return _perfect_correlation(config)
+    return CheckResult(f"perfect_correlation_{model.value}", ok, f"{agree}/{same} same-setting runs agree")
 
 
 def check_eq4_identity(rng, literal_eq3: bool = False) -> CheckResult:
@@ -154,15 +141,7 @@ def _eq4_sweep(counts: np.ndarray, literal_eq3: bool) -> CheckResult:
 
 
 def check_eq5_sampling_factor(rng, seed) -> CheckResult:
-    config = engine.ProtocolConfig(
-        mode=engine.Mode.FREE,
-        model=engine.Model.LHV,
-        **_random_directions(rng),
-        n_runs=10**6,
-        seed=seed,
-        weights=(0.125,) * 8,
-    )
-    result = engine.run_ensemble(config)
+    result = _ensemble(seed, 10**6, _random_directions(rng), weights=(0.125,) * 8)
     worst = 0.0
     for ratio in inequalities.eq5_ratios(result.hidden, result.table).values():
         if ratio.marginal >= 1000:
@@ -173,15 +152,7 @@ def check_eq5_sampling_factor(rng, seed) -> CheckResult:
 def check_lhv_satisfaction(rng, seed) -> CheckResult:
     worst = math.inf
     for i in range(5):
-        config = engine.ProtocolConfig(
-            mode=engine.Mode.FREE,
-            model=engine.Model.LHV,
-            **_random_directions(rng),
-            n_runs=2 * 10**5,
-            seed=seed + i,
-            weights=tuple(rng.random(8)),
-        )
-        result = engine.run_ensemble(config)
+        result = _ensemble(seed + i, 2 * 10**5, _random_directions(rng), weights=tuple(rng.random(8)))
         _, _, reports = inequalities.evaluate_table(result.table)
         for report in reports:
             if report.defined:
@@ -198,21 +169,12 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
     for i in range(3):
         directions = _random_directions(rng)
         psi = qubit.random_state(rng, qubit.random_direction(rng))
-        config = engine.ProtocolConfig(
-            mode=engine.Mode.FREE,
-            model=engine.Model.QUANTUM,
-            **directions,
-            n_runs=2 * 10**5,
-            seed=seed + i,
-            state=psi,
-        )
-        result = engine.run_ensemble(config)
+        result = _ensemble(seed + i, 2 * 10**5, directions, state=psi)
+        dirs = result.config.directions
         for x in Setting:
             for y in Setting:
                 estimate = engine.estimate_pair_prob(result.table, x, PLUS, y, PLUS)
-                true = inequalities.quantum_pair_prob(
-                    psi, config.directions[x], PLUS, config.directions[y], PLUS
-                )
+                true = inequalities.quantum_pair_prob(psi, dirs[x], PLUS, dirs[y], PLUS)
                 sigma = math.sqrt(true * (1 - true) / estimate.n_conditioning)
                 if sigma == 0.0:
                     if estimate.value != true:
@@ -251,8 +213,8 @@ def run_verification(seed: int = 42, literal_eq3: bool = False) -> list[CheckRes
         check_state_normalization(rng),
         check_born_completeness(rng),
         check_eigenstate_geometry(rng),
-        check_perfect_correlation_quantum(rng, seed),
-        check_perfect_correlation_lhv(rng, seed),
+        check_perfect_correlation(rng, seed, engine.Model.QUANTUM),
+        check_perfect_correlation(rng, seed, engine.Model.LHV),
         check_eq4_identity(rng, literal_eq3=literal_eq3),
         check_eq5_sampling_factor(rng, seed),
         check_lhv_satisfaction(rng, seed),

@@ -255,6 +255,16 @@ class TestCli:
         assert not captured.err.startswith("error: optimizer:")
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "predict", "optimize"])
+    def test_non_utf8_config_rejected(self, command, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"n_runs = 100\n# caf\xe9\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {path}: not UTF-8 text (byte 18)"]
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "argv, calls",
         [

@@ -232,8 +232,13 @@ class TestEq7Eq8:
         assert not report.violated
         assert report.margin == pytest.approx(0.3, abs=1e-12)
 
-    def test_undefined_input_propagates(self):
-        report = eval_eq7(UNDEFINED_ESTIMATE, exact_estimate(0.1), exact_estimate(0.1))
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("evaluate", [eval_eq7, eval_eq8, eval_eq10])
+    def test_undefined_input_propagates(self, evaluate, position):
+        estimates = [exact_estimate(0.1)] * 3
+        assert evaluate(*estimates).defined
+        estimates[position] = UNDEFINED_ESTIMATE
+        report = evaluate(*estimates)
         assert not report.defined and not report.violated
 
     def test_lhs18_reconstruction(self):

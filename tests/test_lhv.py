@@ -145,13 +145,9 @@ class TestTripleDistribution:
         assert dict(zip(TRIPLE_LABELS, dist.weights)) == pytest.approx(mapping)
 
 
-def mask_sum_marginal(table, x, sx, y, sy, literal_eq3=False):
+def mask_sum_marginal(table, x, sx, y, sy):
     """hidden_marginal as first written: a boolean mask over the 8 realities."""
-    B, C, PLUS, MINUS = Setting.B, Setting.C, Outcome.PLUS, Outcome.MINUS
-    if literal_eq3 and {x, y} == {B, C} and {(x, sx), (y, sy)} == {(B, PLUS), (C, MINUS)}:
-        mask = (TRIPLE_COMPONENTS[:, Setting.A] == 1) & (TRIPLE_COMPONENTS[:, C] == -1)
-    else:
-        mask = (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
+    mask = (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
     return int(table.counts[mask].sum())
 
 
@@ -160,10 +156,7 @@ class TestHiddenMarginals:
         for counts in rng.integers(0, 2**40, size=(200, 8)):
             table = HiddenCountTable(counts)
             for key in PAIR_MARGINAL_KEYS:
-                for literal_eq3 in (False, True):
-                    assert hidden_marginal(table, *key, literal_eq3=literal_eq3) == (
-                        mask_sum_marginal(table, *key, literal_eq3)
-                    )
+                assert hidden_marginal(table, *key) == mask_sum_marginal(table, *key)
                 # plain ints name the same settings and signs
                 assert hidden_marginal(table, *map(int, key)) == mask_sum_marginal(table, *key)
 

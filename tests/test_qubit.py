@@ -61,6 +61,17 @@ class TestDirection:
         d = direction_from_spherical(math.pi / 2, math.pi / 2)
         assert abs(d.y - 1.0) < 1e-12 and abs(d.x) < 1e-12
 
+    def test_from_spherical_is_the_plain_formula_to_the_bit(self):
+        # both poles and phi = 2 pi are on the grid
+        for theta in np.linspace(0.0, math.pi, 37).tolist():
+            for phi in np.linspace(0.0, 2.0 * math.pi, 73).tolist():
+                st = math.sin(theta)
+                plain = Direction(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+                d = direction_from_spherical(theta, phi)
+                assert [v.hex() for v in (d.x, d.y, d.z)] == [
+                    v.hex() for v in (plain.x, plain.y, plain.z)
+                ], (theta, phi)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             direction_from_spherical(math.nan, 0.0)
