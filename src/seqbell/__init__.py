@@ -23,7 +23,6 @@ from .lhv import (
     HiddenCountTable,
     Setting,
     TripleDistribution,
-    check_count_inequality,
     hidden_marginal,
 )
 from .engine import (
@@ -33,14 +32,14 @@ from .engine import (
     ProtocolConfig,
     RunCountTable,
     cell_law,
-    estimate_expectation,
-    estimate_pair_prob,
     run_ensemble,
     run_two_series,
-    two_series_estimate,
 )
 from .inequalities import (
+    check_count_inequality,
     eq5_ratio,
+    estimate_expectation,
+    estimate_pair_prob,
     eval_eq6,
     eval_eq7,
     eval_eq8,
@@ -48,6 +47,7 @@ from .inequalities import (
     lhs16,
     lhs18,
     quantum_pair_prob,
+    two_series_estimate,
 )
 from .reporting import InequalityReport
 from .search import SearchConfig, TripleConfiguration, grid_oracle, maximize

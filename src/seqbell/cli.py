@@ -24,21 +24,21 @@ from .engine import (
     cell_law,
     run_ensemble,
     run_two_series,
-    two_series_estimate,
     write_run_log,
 )
 from .inequalities import (
     EQ7_PROBS,
     EQ8_PROBS,
     PAIRS,
+    check_count_inequality,
     eq5_ratios,
     eq16_report,
     eq18_report,
-    eval_eq4,
     eval_eq10,
     evaluate_table,
     lhs16,
     lhs18,
+    two_series_estimate,
 )
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
@@ -182,7 +182,7 @@ def build_simulate_report(config: ExperimentConfig, result, result_minus=None) -
     expectations, probs, reports = evaluate_table(table, config.sigma)
     _, eq7, _, eq10 = reports
     if hidden is not None:
-        reports.append(eval_eq4(hidden, config.sigma))
+        reports.append(check_count_inequality(hidden, config.sigma))
     same, agree = table.same_setting_totals()
     # ** 0.5 here and math.sqrt in EQ10's stderr can differ in the last bit
     lhs16_err = sum(e.stderr**2 for e in expectations.values()) ** 0.5

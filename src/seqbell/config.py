@@ -307,10 +307,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
     with open(path, "rb") as fh:  # bytes, then text: faster than a text handle
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8")  # not utf-8-sig: its error offsets skip the BOM
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_config(text, **overrides)
+    return parse_config(text.removeprefix("\ufeff"), **overrides)
 
 
 def apply_overrides(config, **overrides):

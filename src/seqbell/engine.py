@@ -31,7 +31,6 @@ import numpy as np
 
 from .lhv import (
     CountTable,
-    PAIR_MARGINAL_KEYS,
     HiddenCountTable,
     Setting,
     SETTINGS,
@@ -87,10 +86,6 @@ def _cell_index(x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome) -> int
         raise ValueError(f"no count cell for {(x, sign_x, y, sign_y)}") from None
 
 
-# the cell of each pair marginal's observed count, in PAIR_MARGINAL_KEYS order
-_MARGINAL_CELLS = [_CELL_INDEX[key] for key in PAIR_MARGINAL_KEYS]
-
-
 class RunCountTable(CountTable):
     """Observed run counts N[x^a y^b], indexed (first setting, second
     setting, first outcome, second outcome) with outcome index 0 = +1."""
@@ -113,11 +108,6 @@ class RunCountTable(CountTable):
         i = _cell_index(x, 1, y, 1)
         return self._cells[i : i + 4]
 
-    def pair_marginal_counts(self) -> list[int]:
-        """N[x^sx y^sy] of every pair marginal, in PAIR_MARGINAL_KEYS order."""
-        cells = self._cells
-        return [cells[i] for i in _MARGINAL_CELLS]
-
     def pair_total(self, x: Setting, y: Setting) -> int:
         return sum(self.pair_counts(x, y))
 
@@ -133,24 +123,6 @@ class RunCountTable(CountTable):
             for (x, y, sx, sy), n in zip(_CELLS, self._cells)
         ]
         return "\n".join(rows) + "\n"
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """An estimated pair probability or expectation with its standard error
-    and the number of runs it is conditioned on."""
-
-    value: float
-    stderr: float
-    n_conditioning: int
-    low_stats: bool = False
-
-    @property
-    def defined(self) -> bool:
-        return self.n_conditioning > 0
-
-
-UNDEFINED_ESTIMATE = Estimate(value=math.nan, stderr=math.nan, n_conditioning=0)
 
 
 @dataclass(frozen=True)
@@ -467,71 +439,6 @@ def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleRe
     plus = _generate_series(config, kernel, series=0, workers=workers)
     minus = _generate_series(config, kernel, series=1, workers=workers)
     return plus, minus
-
-
-# ---------------------------------------------------------------------------
-# estimation
-
-
-def estimate_pair_prob(
-    table: RunCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
-) -> Estimate:
-    """P(x^sx, y^sy) with binomial standard error, conditioned on the pair (x, y)."""
-    n = table.pair_total(x, y)
-    if n == 0:
-        return UNDEFINED_ESTIMATE
-    k = table.count(x, sign_x, y, sign_y)
-    p = k / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    return Estimate(value=p, stderr=stderr, n_conditioning=n, low_stats=k < 10)
-
-
-def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> Estimate:
-    """E(x, y) as the signed sum of the four outcome-pair probabilities."""
-    pp, pm, mp, mm = table.pair_counts(x, y)
-    n = pp + pm + mp + mm
-    if n == 0:
-        return UNDEFINED_ESTIMATE
-    value = float(pp + mm - pm - mp) / n
-    # multinomial with +/-1 scores: var = (1 - E^2)/n
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / n)
-    return Estimate(value=value, stderr=stderr, n_conditioning=n, low_stats=min(pp, pm, mp, mm) < 10)
-
-
-def two_series_estimate(
-    table_plus: RunCountTable, table_minus: RunCountTable, x: Setting, y: Setting
-) -> Estimate:
-    """E(x, y) from two separate series.
-
-    The plus series contributes P(x+, y+) - P(x+, y-) using only runs whose
-    first outcome was +1; the minus series contributes P(x-, y-) - P(x-, y+).
-    Discarded runs (wrong first outcome) stay in each denominator, which is
-    what makes the two halves estimate the same conditional probabilities as
-    a single free-running ensemble.
-    """
-    n_p = table_plus.pair_total(x, y)
-    n_m = table_minus.pair_total(x, y)
-    if n_p == 0 or n_m == 0:
-        return UNDEFINED_ESTIMATE
-    k_pp = table_plus.count(x, Outcome.PLUS, y, Outcome.PLUS)
-    k_pm = table_plus.count(x, Outcome.PLUS, y, Outcome.MINUS)
-    k_mm = table_minus.count(x, Outcome.MINUS, y, Outcome.MINUS)
-    k_mp = table_minus.count(x, Outcome.MINUS, y, Outcome.PLUS)
-
-    def half(k1, k2, n):
-        p1, p2 = k1 / n, k2 / n
-        diff = p1 - p2
-        var = max(0.0, p1 + p2 - diff * diff) / n
-        return diff, var
-
-    d_plus, var_plus = half(k_pp, k_pm, n_p)
-    d_minus, var_minus = half(k_mm, k_mp, n_m)
-    return Estimate(
-        value=d_plus + d_minus,
-        stderr=math.sqrt(var_plus + var_minus),
-        n_conditioning=n_p + n_m,
-        low_stats=min(k_pp, k_pm, k_mm, k_mp) < 10,
-    )
 
 
 # ---------------------------------------------------------------------------

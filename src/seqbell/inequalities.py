@@ -18,19 +18,21 @@ Inequality ids and their content:
 
 EQ18 relates to EQ7 through the exact identity lhs18 = 1 - 4 * margin7, so
 a probability-level estimate of EQ7 doubles as an estimate of lhs18.
+
+Every estimate and verdict is made here, from the count tables that
+`engine` samples and `lhv` defines.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import Estimate, RunCountTable, estimate_expectation, estimate_pair_prob
-from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, check_count_inequality, hidden_marginal
+from .engine import RunCountTable
+from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, eq4_cells, hidden_marginal
 from .qubit import Direction, Outcome, PureState, born_prob, dot
 from .reporting import DEFAULT_SIGMA, InequalityReport, undefined_report
-
-eval_eq4 = check_count_inequality
 
 A, B, C = Setting.A, Setting.B, Setting.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -40,6 +42,85 @@ PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 PAIRS = ((A, B), (B, C), (A, C))
 EQ7_PROBS = ((A, PLUS, C, MINUS), (A, PLUS, B, MINUS), (B, PLUS, C, MINUS))
 EQ8_PROBS = ((A, MINUS, C, PLUS), (A, MINUS, B, PLUS), (B, MINUS, C, PLUS))
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """An estimated pair probability or expectation with its standard error
+    and the number of runs it is conditioned on."""
+
+    value: float
+    stderr: float
+    n_conditioning: int
+    low_stats: bool = False
+
+    @property
+    def defined(self) -> bool:
+        return self.n_conditioning > 0
+
+
+UNDEFINED_ESTIMATE = Estimate(value=math.nan, stderr=math.nan, n_conditioning=0)
+
+
+def estimate_pair_prob(
+    table: RunCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
+) -> Estimate:
+    """P(x^sx, y^sy) with binomial standard error, conditioned on the pair (x, y)."""
+    n = table.pair_total(x, y)
+    if n == 0:
+        return UNDEFINED_ESTIMATE
+    k = table.count(x, sign_x, y, sign_y)
+    p = k / n
+    stderr = math.sqrt(p * (1.0 - p) / n)
+    return Estimate(value=p, stderr=stderr, n_conditioning=n, low_stats=k < 10)
+
+
+def estimate_expectation(table: RunCountTable, x: Setting, y: Setting) -> Estimate:
+    """E(x, y) as the signed sum of the four outcome-pair probabilities."""
+    pp, pm, mp, mm = table.pair_counts(x, y)
+    n = pp + pm + mp + mm
+    if n == 0:
+        return UNDEFINED_ESTIMATE
+    value = float(pp + mm - pm - mp) / n
+    # multinomial with +/-1 scores: var = (1 - E^2)/n
+    stderr = math.sqrt(max(0.0, 1.0 - value * value) / n)
+    return Estimate(value=value, stderr=stderr, n_conditioning=n, low_stats=min(pp, pm, mp, mm) < 10)
+
+
+def two_series_estimate(
+    table_plus: RunCountTable, table_minus: RunCountTable, x: Setting, y: Setting
+) -> Estimate:
+    """E(x, y) from two separate series.
+
+    The plus series contributes P(x+, y+) - P(x+, y-) using only runs whose
+    first outcome was +1; the minus series contributes P(x-, y-) - P(x-, y+).
+    Discarded runs (wrong first outcome) stay in each denominator, which is
+    what makes the two halves estimate the same conditional probabilities as
+    a single free-running ensemble.
+    """
+    n_p = table_plus.pair_total(x, y)
+    n_m = table_minus.pair_total(x, y)
+    if n_p == 0 or n_m == 0:
+        return UNDEFINED_ESTIMATE
+    k_pp = table_plus.count(x, Outcome.PLUS, y, Outcome.PLUS)
+    k_pm = table_plus.count(x, Outcome.PLUS, y, Outcome.MINUS)
+    k_mm = table_minus.count(x, Outcome.MINUS, y, Outcome.MINUS)
+    k_mp = table_minus.count(x, Outcome.MINUS, y, Outcome.PLUS)
+
+    def half(k1, k2, n):
+        p1, p2 = k1 / n, k2 / n
+        diff = p1 - p2
+        var = max(0.0, p1 + p2 - diff * diff) / n
+        return diff, var
+
+    d_plus, var_plus = half(k_pp, k_pm, n_p)
+    d_minus, var_minus = half(k_mm, k_mp, n_m)
+    return Estimate(
+        value=d_plus + d_minus,
+        stderr=math.sqrt(var_plus + var_minus),
+        n_conditioning=n_p + n_m,
+        low_stats=min(k_pp, k_pm, k_mm, k_mp) < 10,
+    )
 
 
 def quantum_pair_prob(
@@ -69,6 +150,27 @@ def eq18_report(
     a: Direction, b: Direction, c: Direction, sigma_threshold: float = DEFAULT_SIGMA
 ) -> InequalityReport:
     return InequalityReport("EQ18", lhs=lhs18(a, b, c), rhs=1.0, sigma_threshold=sigma_threshold)
+
+
+def check_count_inequality(
+    table: HiddenCountTable,
+    sigma_threshold: float = DEFAULT_SIGMA,
+    *,
+    literal_eq3: bool = False,
+) -> InequalityReport:
+    """Evaluate the hidden-count inequality EQ4, N(a+c-) <= N(a+b-) + N(b+c-).
+
+    Holds with margin >= 0 for every non-negative table; the evaluation is
+    exact, so the report carries zero standard error.
+    """
+    lhs, rhs = (sum(table._cells[i] for i in side) for side in eq4_cells(literal_eq3))
+    return InequalityReport(
+        inequality_id="EQ4",
+        lhs=float(lhs),
+        rhs=float(rhs),
+        stderr_margin=0.0,
+        sigma_threshold=sigma_threshold,
+    )
 
 
 def eval_eq6(table: RunCountTable, sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:
@@ -178,18 +280,10 @@ def eq5_ratio(
     (the chance that an independent uniform pair choice picks exactly (x, y)),
     which sets the standard error.
     """
-    return _eq5(hidden_marginal(hidden, x, sign_x, y, sign_y), runs.count(x, sign_x, y, sign_y))
-
-
-def eq5_ratios(hidden: HiddenCountTable, runs: RunCountTable) -> dict[tuple, Eq5Ratio]:
-    """eq5_ratio of every pair marginal, keyed as PAIR_MARGINAL_KEYS."""
-    pairs = zip(hidden.pair_marginals(), runs.pair_marginal_counts())
-    return {key: _eq5(*pair) for key, pair in zip(PAIR_MARGINAL_KEYS, pairs)}
-
-
-def _eq5(marginal: int, observed: int) -> Eq5Ratio:
+    marginal = hidden_marginal(hidden, x, sign_x, y, sign_y)
     if marginal == 0:
         return Eq5Ratio(ratio=math.nan, stderr=math.nan, marginal=0, observed=0)
+    observed = runs.count(x, sign_x, y, sign_y)
     p_hat = observed / marginal
     return Eq5Ratio(
         ratio=9.0 * p_hat,
@@ -197,3 +291,8 @@ def _eq5(marginal: int, observed: int) -> Eq5Ratio:
         marginal=marginal,
         observed=observed,
     )
+
+
+def eq5_ratios(hidden: HiddenCountTable, runs: RunCountTable) -> dict[tuple, Eq5Ratio]:
+    """eq5_ratio of every pair marginal, keyed as PAIR_MARGINAL_KEYS."""
+    return {key: eq5_ratio(hidden, runs, *key) for key in PAIR_MARGINAL_KEYS}

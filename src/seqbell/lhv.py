@@ -12,7 +12,7 @@ N(x^a y^b) and the three-term count inequality they satisfy identically:
 with N(a+b-) = N(a+b-c+) + N(a+b-c-), N(a+c-) = N(a+b+c-) + N(a+b-c-),
 and N(b+c-) = N(a+b+c-) + N(a-b+c-).  The margin of EQ4 equals
 N(a+b-c+) + N(a-b+c-) cell by cell, which is the identity the built-in
-verifier checks.
+verifier checks.  `inequalities` evaluates EQ4 on these tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from itertools import product
 import numpy as np
 
 from .qubit import OUTCOMES, Outcome
-from .reporting import DEFAULT_SIGMA, InequalityReport
 
 
 class Setting(IntEnum):
@@ -50,17 +49,14 @@ PAIR_MARGINAL_KEYS = tuple(
 TRIPLE_LABELS = tuple(f"a{sa}b{sb}c{sc}" for sa, sb, sc in product("+-", repeat=3))
 TRIPLE_COMPONENTS = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 
-# the realities consistent with readout sx at x and sy at y, keyed (x, sx, y, sy);
-# a same-setting key with unequal signs selects none
-_PAIR_MASKS = {
-    (x, sx, y, sy): (TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)
-    for x, y, sx, sy in product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES)
-}
-# the two realities of each pair marginal of distinct settings, as indices
+# the indices of the realities consistent with readout sx at x and sy at y,
+# keyed (x, sx, y, sy): two for distinct settings, four for a same-setting key
+# with equal signs, none for one with unequal signs
 _PAIR_CELLS = {
-    key: tuple(np.flatnonzero(mask).tolist())
-    for key, mask in _PAIR_MASKS.items()
-    if key[0] != key[2]
+    (x, sx, y, sy): tuple(
+        np.flatnonzero((TRIPLE_COMPONENTS[:, x] == sx) & (TRIPLE_COMPONENTS[:, y] == sy)).tolist()
+    )
+    for x, y, sx, sy in product(SETTINGS, SETTINGS, OUTCOMES, OUTCOMES)
 }
 
 
@@ -165,11 +161,6 @@ class HiddenCountTable(CountTable):
 
     _SHAPE = (8,)
 
-    def pair_marginals(self) -> list[int]:
-        """Every pair marginal N(x^sx y^sy), in PAIR_MARGINAL_KEYS order."""
-        cells = self._cells
-        return [cells[i] + cells[j] for i, j in _PAIR_CELLS.values()]
-
 
 def hidden_marginal(
     table: HiddenCountTable, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
@@ -206,33 +197,12 @@ def count_inequality_decomposition(table: HiddenCountTable) -> int:
     return sum(table._cells[i] for i in EQ4_DECOMPOSITION_CELLS)
 
 
-def check_count_inequality(
-    table: HiddenCountTable,
-    sigma_threshold: float = DEFAULT_SIGMA,
-    *,
-    literal_eq3: bool = False,
-) -> InequalityReport:
-    """Evaluate the hidden-count inequality N(a+c-) <= N(a+b-) + N(b+c-).
-
-    Holds with margin >= 0 for every non-negative table; the evaluation is
-    exact, so the report carries zero standard error.
-    """
-    lhs, rhs = (sum(table._cells[i] for i in side) for side in eq4_cells(literal_eq3))
-    return InequalityReport(
-        inequality_id="EQ4",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        stderr_margin=0.0,
-        sigma_threshold=sigma_threshold,
-    )
-
-
 def lhv_pair_prob(
     dist: TripleDistribution, x: Setting, sign_x: Outcome, y: Setting, sign_y: Outcome
 ) -> float:
     """Exact P(x^sx, y^sy) for runs with ordered settings (x, y): readout is
     deterministic, so this is just the pair marginal of the weights."""
-    return float(dist.weights[_PAIR_MASKS[x, sign_x, y, sign_y]].sum())
+    return float(dist.weights[list(_PAIR_CELLS[x, sign_x, y, sign_y])].sum())
 
 
 def lhv_expectation(dist: TripleDistribution, x: Setting, y: Setting) -> float:

@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -126,11 +125,6 @@ def _frame(ex: float, ey: float, ez: float):
     return (ux, uy, uz), (vx, vy, vz)
 
 
-@lru_cache(maxsize=1024)
-def _frame_components(e: Direction):
-    return _frame(e.x, e.y, e.z)
-
-
 def _azimuth(x, u, v) -> float:
     tu = x[0] * u[0] + x[1] * u[1] + x[2] * u[2]
     tv = x[0] * v[0] + x[1] * v[1] + x[2] * v[2]
@@ -144,7 +138,7 @@ def azimuth_about(x: Direction, e: Direction) -> float:
 
     Zero when x is (anti)parallel to e, where the azimuth is a pure gauge.
     """
-    return _azimuth((x.x, x.y, x.z), *_frame_components(e))
+    return _azimuth((x.x, x.y, x.z), *_frame(e.x, e.y, e.z))
 
 
 @dataclass(frozen=True)
@@ -206,19 +200,15 @@ def _bloch(s: float, phi: float, e):
     )
 
 
-@lru_cache(maxsize=4096)
-def _bloch_components(state: PureState):
-    return _bloch(state.s, state.phi, (state.e.x, state.e.y, state.e.z))
-
-
 def bloch_vector(state: PureState) -> np.ndarray:
     """Unit Bloch vector r with P(x, +1) = (1 + r.x)/2 for every setting x."""
-    return np.array(_bloch_components(state))
+    e = state.e
+    return np.array(_bloch(state.s, state.phi, (e.x, e.y, e.z)))
 
 
 def _state_from_components(rx: float, ry: float, rz: float, e: Direction) -> PureState:
     c = min(1.0, max(-1.0, rx * e.x + ry * e.y + rz * e.z))
-    u, v = _frame_components(e)
+    u, v = _frame(e.x, e.y, e.z)
     tu = rx * u[0] + ry * u[1] + rz * u[2]
     tv = rx * v[0] + ry * v[1] + rz * v[2]
     phi = 0.0 if (tu == 0.0 and tv == 0.0) else math.atan2(tv, tu)
@@ -267,7 +257,8 @@ def _born(r, x, sign: int) -> float:
 
 def born_prob(state: PureState, x: Direction, outcome: Outcome) -> float:
     """Probability of the given outcome when measuring the state along x."""
-    return _born(_bloch_components(state), (x.x, x.y, x.z), int(outcome))
+    e = state.e
+    return _born(_bloch(state.s, state.phi, (e.x, e.y, e.z)), (x.x, x.y, x.z), int(outcome))
 
 
 def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:

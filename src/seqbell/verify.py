@@ -152,7 +152,7 @@ def check_eq5_sampling_factor(rng, seed) -> CheckResult:
 def check_lhv_satisfaction(rng, seed) -> CheckResult:
     worst = math.inf
     for i in range(5):
-        result = _ensemble(seed + i, 2 * 10**5, _random_directions(rng), weights=tuple(rng.random(8)))
+        result = _ensemble((seed + i) % 2**64, 2 * 10**5, _random_directions(rng), weights=tuple(rng.random(8)))
         _, _, reports = inequalities.evaluate_table(result.table)
         for report in reports:
             if report.defined:
@@ -169,11 +169,11 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
     for i in range(3):
         directions = _random_directions(rng)
         psi = qubit.random_state(rng, qubit.random_direction(rng))
-        result = _ensemble(seed + i, 2 * 10**5, directions, state=psi)
+        result = _ensemble((seed + i) % 2**64, 2 * 10**5, directions, state=psi)
         dirs = result.config.directions
         for x in Setting:
             for y in Setting:
-                estimate = engine.estimate_pair_prob(result.table, x, PLUS, y, PLUS)
+                estimate = inequalities.estimate_pair_prob(result.table, x, PLUS, y, PLUS)
                 true = inequalities.quantum_pair_prob(psi, dirs[x], PLUS, dirs[y], PLUS)
                 sigma = math.sqrt(true * (1 - true) / estimate.n_conditioning)
                 if sigma == 0.0:

@@ -27,12 +27,13 @@ from seqbell.engine import (
     Mode,
     Model,
     ProtocolConfig,
-    estimate_expectation,
-    estimate_pair_prob,
     run_ensemble,
 )
 from seqbell.inequalities import (
+    check_count_inequality,
     eq5_ratio,
+    estimate_expectation,
+    estimate_pair_prob,
     eval_eq6,
     eval_eq7,
     eval_eq8,
@@ -41,7 +42,7 @@ from seqbell.inequalities import (
     lhs18,
     quantum_pair_prob,
 )
-from seqbell.lhv import Setting, TripleDistribution, check_count_inequality
+from seqbell.lhv import Setting, TripleDistribution
 from seqbell.qubit import (
     Direction,
     Outcome,

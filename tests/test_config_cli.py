@@ -10,7 +10,7 @@ from seqbell import cli
 from seqbell.cli import main
 from seqbell.config import ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
-from seqbell.inequalities import eq5_ratio, eval_eq4, evaluate_table
+from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table
 from seqbell.lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
 from seqbell.reporting import (
@@ -265,6 +265,12 @@ class TestCli:
         assert captured.err.splitlines() == [f"error: {path}: not UTF-8 text (byte 18)"]
         assert captured.out == "" and not out.exists()
 
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        assert main(["predict", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: not UTF-8 text (byte 5)"]
+
     @pytest.mark.parametrize(
         "argv, calls",
         [
@@ -508,6 +514,13 @@ class TestCli:
         assert main(["verify", "--format", "structured"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_verify_accepts_the_last_64_bit_seed(self, capsys):
+        # its checks' later ensembles wrap round to seeds 0, 1, ...
+        main(["verify", "--seed", str(2**64 - 1), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        assert [line for line in captured.out.splitlines() if line.startswith("verify.ok = ")]
+
     def test_verify_literal_misprint_fails(self, capsys):
         assert main(["verify", "--use-literal-eq3", "--format", "structured"]) == 1
         out = capsys.readouterr().out
@@ -594,7 +607,7 @@ def reference_report_body(table, hidden, sigma):
     """The estimate, inequality and eq5 lines of a structured lhv report,
     one kv_line call per line, keys written out per line."""
     expectations, probs, reports = evaluate_table(table, sigma)
-    reports.append(eval_eq4(hidden, sigma))
+    reports.append(check_count_inequality(hidden, sigma))
     sign = {1: "+", -1: "-"}
     lines = []
     estimates = [(f"E.{x.name}.{y.name}", est) for (x, y), est in expectations.items()]

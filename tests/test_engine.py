@@ -25,14 +25,16 @@ from seqbell.engine import (
     ProtocolConfig,
     RunCountTable,
     cell_law,
-    estimate_expectation,
-    estimate_pair_prob,
     run_ensemble,
     run_two_series,
-    two_series_estimate,
     write_run_log,
 )
-from seqbell.inequalities import quantum_pair_prob
+from seqbell.inequalities import (
+    estimate_expectation,
+    estimate_pair_prob,
+    quantum_pair_prob,
+    two_series_estimate,
+)
 from seqbell.lhv import (
     Setting,
     TRIPLE_COMPONENTS,

@@ -1,11 +1,14 @@
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
 import seqbell
+from seqbell import inequalities
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(seqbell.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -93,6 +96,19 @@ REMOVED = [
     "lhv.HiddenCountTable.zero",
     "lhv.HiddenCountTable.from_mapping",
     "lhv.HiddenCountTable.count",
+    "lhv.HiddenCountTable.pair_marginals",
+    "engine.RunCountTable.pair_marginal_counts",
+    "inequalities.eval_eq4",
+]
+
+# every name README says has moved to inequalities, as its old dotted path
+MOVED = [
+    "engine.Estimate",
+    "engine.UNDEFINED_ESTIMATE",
+    "engine.estimate_pair_prob",
+    "engine.estimate_expectation",
+    "engine.two_series_estimate",
+    "lhv.check_count_inequality",
 ]
 
 
@@ -106,3 +122,37 @@ def test_removed_name_stays_gone_and_listed(path):
     assert name not in vars(owner)
     assert name not in seqbell.__all__
     assert f"`{path}`" in README.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", MOVED)
+def test_moved_name_is_defined_only_in_inequalities(path):
+    module, name = path.split(".")
+    assert name not in vars(importlib.import_module(f"seqbell.{module}"))
+    assert name in vars(inequalities)
+    if name in seqbell.__all__:
+        assert getattr(seqbell, name) is getattr(inequalities, name)
+    assert f"`{path}`" in README.read_text(encoding="utf-8")
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", ["engine", "lhv"])
+def test_sampler_and_model_make_no_estimate_or_verdict(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "reporting"] == []
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert used.isdisjoint({"InequalityReport", "DEFAULT_SIGMA", "Estimate", "undefined_report"})
+    statistics = _top_level_names(ast.parse((SRC / "inequalities.py").read_text(encoding="utf-8")))
+    defined = _top_level_names(tree)
+    assert defined.isdisjoint(statistics)
+    assert defined.isdisjoint({"_PAIR_MASKS", "_MARGINAL_CELLS"})

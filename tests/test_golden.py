@@ -131,6 +131,13 @@ def test_csv_outputs_match_golden(name, config_dir):
     assert pinned and _csv_digests(name, config_dir) == pinned
 
 
+def test_byte_order_mark_leaves_the_output_unchanged(config_dir, tmp_path):
+    # the BOM sits in front of the config's first key, "mode"
+    (tmp_path / "lhvprep.cfg").write_bytes(b"\xef\xbb\xbf" + (config_dir / "lhvprep.cfg").read_bytes())
+    expected = (GOLDEN_DIR / "simulate-lhvprep.structured.txt").read_text(encoding="utf-8")
+    assert _run(["simulate", "--config", "lhvprep", "--format", "structured"], tmp_path) == expected
+
+
 def _regenerate() -> None:
     import tempfile
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from seqbell.engine import (
-    UNDEFINED_ESTIMATE,
-    Estimate,
     Mode,
     Model,
     ProtocolConfig,
@@ -13,12 +11,14 @@ from seqbell.engine import (
     run_ensemble,
 )
 from seqbell.inequalities import (
+    UNDEFINED_ESTIMATE,
     Eq5Ratio,
+    Estimate,
+    check_count_inequality,
     eq5_ratio,
     eq5_ratios,
     eq16_report,
     eq18_report,
-    eval_eq4,
     eval_eq6,
     eval_eq7,
     eval_eq8,
@@ -344,6 +344,6 @@ class TestEq5Ratio:
 class TestEq4Alias:
     def test_reexport_matches(self):
         table = HiddenCountTable(one_reality("a+b-c-", 4))
-        report = eval_eq4(table)
+        report = check_count_inequality(table)
         assert report.inequality_id == "EQ4"
         assert report.margin == 0.0

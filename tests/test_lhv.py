@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqbell.config import parse_config
+from seqbell.inequalities import check_count_inequality
 from seqbell.lhv import (
     HiddenCountTable,
     PAIR_MARGINAL_KEYS,
@@ -13,7 +14,6 @@ from seqbell.lhv import (
     TRIPLE_LABELS,
     Setting,
     TripleDistribution,
-    check_count_inequality,
     count_inequality_decomposition,
     hidden_marginal,
     lhv_expectation,

@@ -11,7 +11,7 @@ from seqbell.qubit import (
     Outcome,
     PureState,
     Z_AXIS,
-    _frame_components,
+    _frame,
     amplitudes,
     azimuth_about,
     bloch_vector,
@@ -218,7 +218,7 @@ class TestFrameCovariance:
     def test_frame_right_handed(self, rng):
         for _ in range(100):
             e = random_direction(rng)
-            u, v = map(np.array, _frame_components(e))
+            u, v = map(np.array, _frame(e.x, e.y, e.z))
             assert abs(u @ v) < 1e-12
             assert abs(np.linalg.norm(u) - 1) < 1e-12
             assert np.max(np.abs(np.cross(u, v) - e.as_array())) < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqbell import lhv, qubit, verify
+from seqbell import inequalities, lhv, qubit, verify
 from seqbell.lhv import HiddenCountTable
 from seqbell.qubit import Outcome
 from seqbell.verify import CheckResult, check_eq4_identity, run_verification
@@ -98,7 +98,7 @@ def reference_eq4_identity(rng, literal_eq3):
 def reference_eq4_sweep(rows, literal_eq3):
     tables = [HiddenCountTable(row) for row in rows]
     for table in tables:
-        report = lhv.check_count_inequality(table, literal_eq3=literal_eq3)
+        report = inequalities.check_count_inequality(table, literal_eq3=literal_eq3)
         if report.margin < 0 or report.margin != lhv.count_inequality_decomposition(table):
             return CheckResult(
                 "eq4_identity",
