@@ -11,7 +11,7 @@ from seqbell.cli import main
 from seqbell.config import ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table
-from seqbell.lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting
+from seqbell.lhv import PAIR_MARGINAL_KEYS, TRIPLE_LABELS, HiddenCountTable, Setting
 from seqbell.qubit import Outcome, PureState, Z_AXIS
 from seqbell.reporting import (
     InequalityReport,
@@ -141,6 +141,97 @@ class TestParse:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("directions.a.x = 1\ndirections.a.y = 1\ndirections.a.z = 0")
+
+
+def _weights_text(weight_of):
+    return "\n".join(f"lhv.weights.{label} = {weight_of(label)}" for label in TRIPLE_LABELS)
+
+
+# (id, config text, the full ConfigError message); a "two:" text has two
+# faults, and its message names the one that is reported first
+CONFIG_ERRORS = [
+    ("bad-mode", "mode = sometimes",
+     "key 'mode': expected one of free, two-series, prepared, got 'sometimes'"),
+    ("bad-model", "model = classical", "key 'model': expected one of quantum, lhv, got 'classical'"),
+    ("bad-disturbance", "disturbance = often",
+     "key 'disturbance': expected one of none, resample-after-second, "
+     "flip-unmeasured-after-second, got 'often'"),
+    ("bad-int", "n_runs = many", "key 'n_runs': not an integer: 'many'"),
+    ("bad-int-float", "seed = 1.5", "key 'seed': not an integer: '1.5'"),
+    ("bad-chunk", "chunk_size = big", "key 'chunk_size': not an integer: 'big'"),
+    ("bad-float", "report.sigma = high", "key 'report.sigma': not a number: 'high'"),
+    ("bad-state-float", "state.s = half", "key 'state.s': not a number: 'half'"),
+    ("nan", "report.sigma = nan", "key 'report.sigma': must be finite, got 'nan'"),
+    ("inf", "state.phi = inf", "key 'state.phi': must be finite, got 'inf'"),
+    ("bad-component", "directions.a.x = q\ndirections.a.y = 0\ndirections.a.z = 0",
+     "directions.a: key 'directions.a.x': not a number: 'q'"),
+    ("missing-theta", "directions.b.phi = 0.5",
+     "directions.b: missing required key 'directions.b.theta'"),
+    ("missing-y", "directions.a.x = 1\ndirections.a.z = 0",
+     "directions.a: missing required key 'directions.a.y'"),
+    ("both-forms", "directions.c.x = 1\ndirections.c.theta = 0",
+     "directions.c: give either .x/.y/.z or .theta/.phi, not both"),
+    ("both-forms-state", "state.e.theta = 0\nstate.e.x = 1",
+     "state.e: give either .x/.y/.z or .theta/.phi, not both"),
+    ("not-unit", "directions.a.x = 1\ndirections.a.y = 1\ndirections.a.z = 0",
+     "directions.a: direction must be a unit vector, |v| = 1.4142135623730951"),
+    ("state-under-lhv", "model = lhv\nstate.s = 1\nstate.foo = 2",
+     "state.* keys require model = quantum: ['state.foo', 'state.s']"),
+    ("weights-under-quantum", "lhv.weights.a+b+c+ = 1\nlhv.weights.zz = 1",
+     "lhv.weights.* keys require model = lhv: ['lhv.weights.a+b+c+', 'lhv.weights.zz']"),
+    ("prep-outside-prepared", "prep.setting = B\nprep.other = 1",
+     "prep.* keys require mode = prepared: ['prep.other', 'prep.setting']"),
+    ("unknown-label", "model = lhv\nlhv.weights.a+b- = 1", "unknown triple label in 'lhv.weights.a+b-'"),
+    ("bad-weight", "model = lhv\nlhv.weights.a-b+c- = lots",
+     "key 'lhv.weights.a-b+c-': not a number: 'lots'"),
+    ("bad-prep-setting", "mode = prepared\nprep.setting = D", "prep.setting must be A, B or C, got 'D'"),
+    ("bad-prep-sign", "mode = prepared\nprep.sign = 1", "prep.sign must be +1 or -1, got '1'"),
+    ("bad-log-runs", "output.log_runs = yes", "output.log_runs must be true or false, got 'yes'"),
+    ("bad-objective", "optimizer.objective = eq17", "optimizer.objective must be eq16 or eq18, got 'eq17'"),
+    ("optimizer-value", "optimizer.starts = 0", "optimizer: n_starts must be >= 1, got 0"),
+    ("optimizer-int", "optimizer.max_iterations = ten",
+     "key 'optimizer.max_iterations': not an integer: 'ten'"),
+    ("optimizer-float", "optimizer.grid_resolution = fine",
+     "key 'optimizer.grid_resolution': not a number: 'fine'"),
+    ("unknown", "modee = free\nstate.foo = 1\nlhv.other = 1\noptimizer.foo = 2",
+     "unknown config keys: ['lhv.other', 'modee', 'optimizer.foo', 'state.foo']"),
+    ("no-equals", "seed 3", "line 1: expected 'key = value', got 'seed 3'"),
+    ("empty-value", "seed =", "line 1: empty key or value in 'seed ='"),
+    ("duplicate", "seed = 1\nseed = 2", "line 2: duplicate key 'seed'"),
+    ("report-format", "report.format = json", "report.format must be tabular or structured, got 'json'"),
+    ("sigma-range", "report.sigma = 0", "report.sigma must be finite and > 0, got 0.0"),
+    ("runs-range", "n_runs = 0", "n_runs must be >= 1, got 0"),
+    ("seed-range", "seed = 18446744073709551616",
+     "seed must be a non-negative 64-bit integer, got 18446744073709551616"),
+    ("chunk-range", "chunk_size = 4194305", "chunk_size must be <= 4194304, got 4194305"),
+    ("bad-amplitude", "state.s = 2", "state: amplitude s must lie in [0, 1], got 2.0"),
+    ("zero-weights", "model = lhv\n" + _weights_text(lambda label: 0),
+     "lhv.weights: weights must have positive total mass"),
+    ("no-support",
+     "model = lhv\nmode = prepared\nprep.sign = -1\n" + _weights_text(lambda label: int(label[1] == "+")),
+     "conditioning on A=-1 leaves zero mass"),
+    ("two:format-then-unknown", "report.format = json\nmodee = free", "unknown config keys: ['modee']"),
+    ("two:mode-then-runs", "n_runs = many\nmode = sometimes",
+     "key 'mode': expected one of free, two-series, prepared, got 'sometimes'"),
+    ("two:directions-then-state-gate", "model = lhv\nstate.s = 1\ndirections.a.theta = x",
+     "directions.a: key 'directions.a.theta': not a number: 'x'"),
+    ("two:state-then-prep-gate", "prep.setting = B\nstate.s = 2",
+     "state: amplitude s must lie in [0, 1], got 2.0"),
+    ("two:label-then-prep-gate", "model = lhv\nprep.setting = B\nlhv.weights.zz = 1",
+     "unknown triple label in 'lhv.weights.zz'"),
+    ("two:optimizer-then-unknown", "modee = free\noptimizer.starts = 0",
+     "optimizer: n_starts must be >= 1, got 0"),
+    ("two:sigma-then-runs", "n_runs = 0\nreport.sigma = 0", "report.sigma must be finite and > 0, got 0.0"),
+    ("two:line-then-value", "mode = sometimes\nseed = 1\nseed = 2", "line 3: duplicate key 'seed'"),
+    ("two:runs-then-seed", "seed = -1\nn_runs = 0", "n_runs must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", [pytest.param(t, m, id=i) for i, t, m in CONFIG_ERRORS])
+def test_config_error_message_is_pinned(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == message
 
 
 class TestRoundTrip:
