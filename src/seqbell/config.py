@@ -1,19 +1,26 @@
 """Experiment configuration: flat dotted-key text format, round-trip safe.
 
 A config file is a sequence of "key = value" lines (# starts a comment
-line).  Directions may be given either as unit components (.x/.y/.z) or as
-spherical angles (.theta/.phi), never both; serialization always emits
-components with full-precision floats, so parse(serialize(config)) returns
-an identical config.  Unknown and duplicate keys are rejected, as are keys
-that do not apply to the configured model or mode.
+line).  One ordered table, KEYS, describes each key: its field, how its
+text is read and written, the model or mode it needs, when it is written
+and whether it is hashed; parsing, serializing, hashing and the unknown-key
+check all walk it.  Directions may be given either as unit components
+(.x/.y/.z) or as spherical angles (.theta/.phi), never both; serialization
+always emits components with full-precision floats, so
+parse(serialize(config)) returns an identical config.  Unknown and
+duplicate keys are rejected, as are keys that do not apply to the
+configured model or mode.
 """
 
 from __future__ import annotations
 
-import collections
 import hashlib
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from operator import attrgetter
 
 from .engine import ConfigError, Mode, Model, ProtocolConfig
 from .lhv import TRIPLE_LABELS, Disturbance, Setting
@@ -27,7 +34,8 @@ REPORT_FORMATS = ("tabular", "structured")
 @dataclass(frozen=True)
 class ExperimentConfig(ProtocolConfig):
     """A config file: the run protocol plus what only reports and the CLI read.
-    Checked when built: the format and threshold first, then the protocol."""
+    Checked when built: the format, threshold and output directory first,
+    then the protocol."""
 
     disturbance: Disturbance = Disturbance.NONE
     report_format: str = "tabular"
@@ -43,66 +51,28 @@ class ExperimentConfig(ProtocolConfig):
             )
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"report.sigma must be finite and > 0, got {self.sigma!r}")
+        out = self.out_dir  # a config line is stripped and ends at a line break
+        if out is not None and (out != out.strip() or len(out.splitlines()) != 1):
+            raise ConfigError(f"output.dir must be one non-empty line, not padded, got {out!r}")
         super().__post_init__()
 
     def to_protocol(self) -> ProtocolConfig:
         return ProtocolConfig(**{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)})
 
-    def protocol_lines(self) -> list[str]:
-        """Canonical serialization of the physics-defining keys."""
-        lines = [
-            f"mode = {self.mode.value}",
-            f"model = {self.model.value}",
-            f"n_runs = {self.n_runs}",
-            f"seed = {self.seed}",
-            f"chunk_size = {self.chunk_size}",
-            f"disturbance = {self.disturbance.value}",
-        ]
-        for name, d in (("a", self.a), ("b", self.b), ("c", self.c)):
-            lines += [
-                f"directions.{name}.x = {d.x!r}",
-                f"directions.{name}.y = {d.y!r}",
-                f"directions.{name}.z = {d.z!r}",
-            ]
-        if self.model is Model.QUANTUM:
-            lines += [
-                f"state.s = {self.state.s!r}",
-                f"state.phi = {self.state.phi!r}",
-                f"state.e.x = {self.state.e.x!r}",
-                f"state.e.y = {self.state.e.y!r}",
-                f"state.e.z = {self.state.e.z!r}",
-            ]
-        else:
-            for label, w in zip(TRIPLE_LABELS, self.weights):
-                lines.append(f"lhv.weights.{label} = {w!r}")
-        if self.mode is Mode.PREPARED:
-            lines += [
-                f"prep.setting = {self.prep_setting.name}",
-                f"prep.sign = {int(self.prep_sign):+d}",
-            ]
+    def _lines(self, protocol: bool) -> list[str]:
+        lines = []
+        for key in KEYS:
+            if key.protocol is protocol and (key.scope is None or key.scope.applies(self)):
+                if (value := key.get(self)) not in key.skip:
+                    lines += key.show(value)
         return lines
 
+    def protocol_lines(self) -> list[str]:
+        """Canonical serialization of the physics-defining keys."""
+        return self._lines(True)
+
     def to_text(self) -> str:
-        lines = self.protocol_lines()
-        lines += [
-            f"report.format = {self.report_format}",
-            f"report.sigma = {self.sigma!r}",
-        ]
-        if self.out_dir is not None:
-            lines.append(f"output.dir = {self.out_dir}")
-        if self.log_runs:
-            lines.append("output.log_runs = true")
-        if self.optimizer is not None:
-            opt = self.optimizer
-            lines += [
-                f"optimizer.objective = {opt.objective.lower()}",
-                f"optimizer.starts = {opt.n_starts}",
-                f"optimizer.seed = {opt.seed}",
-                f"optimizer.step_tolerance = {opt.step_tolerance!r}",
-                f"optimizer.max_iterations = {opt.max_iterations}",
-                f"optimizer.grid_resolution = {opt.grid_resolution!r}",
-            ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(self.protocol_lines() + self._lines(False)) + "\n"
 
     def digest(self, protocol_lines: list[str] | None = None) -> str:
         """The protocol's hash; pass the lines of protocol_lines() when they
@@ -113,11 +83,157 @@ class ExperimentConfig(ProtocolConfig):
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _parse_lines(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """The entries of a file, and their dotted keys grouped by the part
-    before the first dot, in file order: one pass over the lines."""
+@dataclass(frozen=True, eq=False)
+class Scope:
+    """Keys under a prefix.  needs = (field, value): they apply only where the
+    config's field is that value, and elsewhere are an error; no needs: they
+    apply when given.  With a field, they set parts of its value, build(parts)
+    (None where they do not apply); `unknown` rejects an unlisted key."""
+
+    prefix: str
+    needs: tuple[str, object] | None
+    field: str | None = None
+    build: Callable[[dict], object] | None = None
+    unknown: str | None = None
+
+    def applies(self, config) -> bool:
+        if self.needs is None:
+            return getattr(config, self.field) is not None
+        return getattr(config, self.needs[0]) is self.needs[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Key:
+    """A key and its field (under a scope with a field: an attribute or index
+    of its value).  take(entries) pops its text and returns its value, or
+    None; show(get(config)) is its lines, written where its scope applies
+    and the value is not in `skip`."""
+
+    name: str
+    field: str | int
+    take: Callable[[dict], object]
+    get: Callable[[object], object]
+    show: Callable[[object], list[str]]
+    scope: Scope | None = None
+    skip: tuple = ()
+    protocol: bool = True  # hashed into the digest; False: a file-only line
+
+
+def _key(name, field, read, write=str, scope=None, **options) -> Key:
+    """The key `name`: read(name, text) is its value and write(value) its
+    text; read=_direction takes name.x/.y/.z or name.theta/.phi."""
+    path = field if scope is None or scope.field is None else f"{scope.field}.{field}"
+    get = attrgetter(path) if isinstance(field, str) else lambda c: getattr(c, scope.field)[field]
+    if read is _direction:
+        keys = [f"{name}.{axis}" for axis in ("x", "y", "z", "theta", "phi")]
+        x, y, z = keys[:3]
+        show = lambda d: [f"{x} = {d.x!r}", f"{y} = {d.y!r}", f"{z} = {d.z!r}"]  # noqa: E731
+        return Key(name, field, partial(_direction, name, keys), get, show, scope, **options)
+
+    def take(entries):
+        raw = entries.pop(name, None)
+        return None if raw is None else read(name, raw)
+
+    return Key(name, field, take, get, lambda value: [f"{name} = {write(value)}"], scope, **options)
+
+
+def _direction(name, keys, entries):
+    x, y, z, theta, phi = [entries.pop(key, None) for key in keys]
+    if (x or y or z) and (theta or phi):
+        raise ConfigError(f"{name}: give either .x/.y/.z or .theta/.phi, not both")
+    try:
+        if x or y or z:
+            return Direction(*[_read_float(key, raw) for key, raw in zip(keys, (x, y, z))])
+        if theta or phi:  # phi may be left out: 0
+            return direction_from_spherical(
+                _read_float(keys[3], theta), _read_float(keys[4], phi or "0"))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    return None
+
+
+def _read_int(key, raw):
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
+
+
+def _read_float(key, raw):
+    if raw is None:
+        raise ConfigError(f"missing required key {key!r}")
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
+    return value
+
+
+def _choice(values: dict, message: str = "", fold=str):
+    """read and write of a key whose text, after fold, is one of values' keys."""
+    *others, last = values
+    message = message or f"{{key}} must be {', '.join(others)} or {last}, got {{raw!r}}"
+
+    def read(key, raw):
+        if fold(raw) not in values:
+            raise ConfigError(message.format(key=key, raw=raw))
+        return values[fold(raw)]
+
+    return read, {value: name for name, value in values.items()}.__getitem__
+
+
+def _enum(cls):
+    valid = ", ".join(e.value for e in cls)
+    message = f"key {{key!r}}: expected one of {valid}, got {{raw!r}}"
+    return _choice({e.value: e for e in cls}, message)
+
+
+INT, FLOAT, TEXT = (_read_int, str), (_read_float, repr), (lambda key, raw: raw, str)
+_STATE = Scope("state.", ("model", Model.QUANTUM), "state",
+               lambda parts: PureState(**{**vars(ExperimentConfig.state), **parts}))
+_WEIGHTS = Scope("lhv.weights.", ("model", Model.LHV), "weights",
+                 lambda parts: tuple(parts.get(i, 0.125) for i in range(len(TRIPLE_LABELS))),
+                 "unknown triple label in {!r}")
+_PREP = Scope("prep.", ("mode", Mode.PREPARED))
+_OBJECTIVE = _choice({kind.lower(): kind for kind in OBJECTIVE_KINDS}, fold=str.lower)
+_OPTIMIZER = Scope("optimizer.", None, "optimizer",
+                   lambda parts: SearchConfig(**parts) if parts else None)
+
+KEYS: tuple[Key, ...] = (
+    _key("mode", "mode", *_enum(Mode)),
+    _key("model", "model", *_enum(Model)),
+    _key("n_runs", "n_runs", *INT),
+    _key("seed", "seed", *INT),
+    _key("chunk_size", "chunk_size", *INT),
+    _key("disturbance", "disturbance", *_enum(Disturbance)),
+    *(_key(f"directions.{name}", name, _direction) for name in "abc"),
+    _key("state.s", "s", *FLOAT, _STATE),
+    _key("state.phi", "phi", *FLOAT, _STATE),
+    _key("state.e", "e", _direction, scope=_STATE),
+    *(_key(f"lhv.weights.{label}", i, *FLOAT, _WEIGHTS) for i, label in enumerate(TRIPLE_LABELS)),
+    _key("prep.setting", "prep_setting", *_choice({s.name: s for s in Setting}), _PREP),
+    _key("prep.sign", "prep_sign", *_choice({"+1": Outcome.PLUS, "-1": Outcome.MINUS}), _PREP),
+    _key("report.format", "report_format", *TEXT, protocol=False),
+    _key("report.sigma", "sigma", *FLOAT, protocol=False),
+    _key("output.dir", "out_dir", *TEXT, skip=(None,), protocol=False),
+    _key("output.log_runs", "log_runs", *_choice({"true": True, "false": False}), skip=(False,),
+         protocol=False),
+    _key("optimizer.objective", "objective", *_OBJECTIVE, _OPTIMIZER, protocol=False),
+    _key("optimizer.starts", "n_starts", *INT, _OPTIMIZER, protocol=False),
+    _key("optimizer.seed", "seed", *INT, _OPTIMIZER, protocol=False),
+    _key("optimizer.step_tolerance", "step_tolerance", *FLOAT, _OPTIMIZER, protocol=False),
+    _key("optimizer.max_iterations", "max_iterations", *INT, _OPTIMIZER, protocol=False),
+    _key("optimizer.grid_resolution", "grid_resolution", *FLOAT, _OPTIMIZER, protocol=False),
+)
+
+
+def parse_config(text: str = "", **overrides) -> ExperimentConfig:
+    """The config of a file's text; an empty text is the default config.
+    Overrides (the CLI flags) replace what the text sets; None leaves it.
+    Keys are read in table order: the first faulty one is reported."""
     entries: dict[str, str] = {}
-    groups: dict[str, list[str]] = collections.defaultdict(list)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
@@ -131,174 +247,35 @@ def _parse_lines(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-        head, dot, _ = key.partition(".")
-        if dot:
-            groups[head].append(key)
-    return entries, groups
-
-
-def _take_float(entries, key, default=None):
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = entries.pop(key)
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
-    return value
-
-
-def _take_int(entries, key, default):
-    if key not in entries:
-        return default
-    raw = entries.pop(key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
-
-
-def _take_direction(entries, prefix, default):
-    xyz_keys = [f"{prefix}.{ax}" for ax in "xyz"]
-    sph_keys = [f"{prefix}.theta", f"{prefix}.phi"]
-    has_xyz = any(k in entries for k in xyz_keys)
-    has_sph = any(k in entries for k in sph_keys)
-    if has_xyz and has_sph:
-        raise ConfigError(f"{prefix}: give either .x/.y/.z or .theta/.phi, not both")
-    try:
-        if has_xyz:
-            return Direction(*(_take_float(entries, k) for k in xyz_keys))
-        if has_sph:
-            theta = _take_float(entries, sph_keys[0])
-            phi = _take_float(entries, sph_keys[1], default=0.0)
-            return direction_from_spherical(theta, phi)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
-    return default
-
-
-def parse_config(text: str = "", **overrides) -> ExperimentConfig:
-    """The config of a file's text; an empty text is the default config.
-    Overrides (the CLI flags) replace what the text sets; None leaves it."""
-    entries, groups = _parse_lines(text)
-    defaults = ExperimentConfig  # its class attributes are the field defaults
-
-    def take_enum(key, enum_cls, default):
-        if key not in entries:
-            return default
-        raw = entries.pop(key)
-        try:
-            return enum_cls(raw)
-        except ValueError as exc:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(f"key {key!r}: expected one of {valid}, got {raw!r}") from exc
-
-    mode = take_enum("mode", Mode, defaults.mode)
-    model = take_enum("model", Model, defaults.model)
-    disturbance = take_enum("disturbance", Disturbance, defaults.disturbance)
-    n_runs = _take_int(entries, "n_runs", defaults.n_runs)
-    seed = _take_int(entries, "seed", defaults.seed)
-    chunk_size = _take_int(entries, "chunk_size", defaults.chunk_size)
-
-    a = _take_direction(entries, "directions.a", defaults.a)
-    b = _take_direction(entries, "directions.b", defaults.b)
-    c = _take_direction(entries, "directions.c", defaults.c)
-
-    state_keys = groups["state"]
-    if state_keys and model is not Model.QUANTUM:
-        raise ConfigError(f"state.* keys require model = quantum: {sorted(state_keys)}")
-    state = None
-    if model is Model.QUANTUM:
-        s = _take_float(entries, "state.s", defaults.state.s)
-        phi = _take_float(entries, "state.phi", defaults.state.phi)
-        e = _take_direction(entries, "state.e", defaults.state.e)
-        try:
-            state = PureState(s, phi, e)
-        except ValueError as exc:
-            raise ConfigError(f"state: {exc}") from exc
-
-    weight_keys = [k for k in groups["lhv"] if k.startswith("lhv.weights.")]
-    if weight_keys and model is not Model.LHV:
-        raise ConfigError(f"lhv.weights.* keys require model = lhv: {sorted(weight_keys)}")
-    weights = None
-    if model is Model.LHV:
-        values = dict.fromkeys(TRIPLE_LABELS, 0.125)
-        for key in weight_keys:
-            label = key[len("lhv.weights.") :]
-            if label not in values:
-                raise ConfigError(f"unknown triple label in {key!r}")
-            values[label] = _take_float(entries, key)
-        weights = tuple(values.values())
-
-    prep_keys = groups["prep"]
-    if prep_keys and mode is not Mode.PREPARED:
-        raise ConfigError(f"prep.* keys require mode = prepared: {sorted(prep_keys)}")
-    prep_setting, prep_sign = defaults.prep_setting, defaults.prep_sign
-    if "prep.setting" in entries:
-        raw = entries.pop("prep.setting")
-        if raw not in ("A", "B", "C"):
-            raise ConfigError(f"prep.setting must be A, B or C, got {raw!r}")
-        prep_setting = Setting[raw]
-    if "prep.sign" in entries:
-        raw = entries.pop("prep.sign")
-        if raw not in ("+1", "-1"):
-            raise ConfigError(f"prep.sign must be +1 or -1, got {raw!r}")
-        prep_sign = Outcome.PLUS if raw == "+1" else Outcome.MINUS
-
-    report_format = entries.pop("report.format", defaults.report_format)
-    sigma = _take_float(entries, "report.sigma", defaults.sigma)
-
-    out_dir = entries.pop("output.dir", None)
-    log_runs = False
-    if "output.log_runs" in entries:
-        raw = entries.pop("output.log_runs")
-        if raw not in ("true", "false"):
-            raise ConfigError(f"output.log_runs must be true or false, got {raw!r}")
-        log_runs = raw == "true"
-
-    optimizer = None
-    if groups["optimizer"]:
-        search = SearchConfig()
-        objective = entries.pop("optimizer.objective", search.objective)
-        if objective.upper() not in OBJECTIVE_KINDS:
-            raise ConfigError(f"optimizer.objective must be eq16 or eq18, got {objective!r}")
-        optimizer = apply_overrides(
-            search,
-            objective=objective,
-            n_starts=_take_int(entries, "optimizer.starts", search.n_starts),
-            seed=_take_int(entries, "optimizer.seed", search.seed),
-            step_tolerance=_take_float(entries, "optimizer.step_tolerance", search.step_tolerance),
-            max_iterations=_take_int(entries, "optimizer.max_iterations", search.max_iterations),
-            grid_resolution=_take_float(entries, "optimizer.grid_resolution", search.grid_resolution),
-        )
-
+    settings: dict = {}
+    # the table keeps a scope's keys together
+    for scope, keys in itertools.groupby(KEYS, attrgetter("scope")):
+        target = settings
+        if scope is not None:
+            given = [k for k in entries if k.startswith(scope.prefix)]
+            field, needed = scope.needs or (None, None)
+            applies = not field or settings.get(field, getattr(ExperimentConfig, field)) is needed
+            if given and not applies:
+                raise ConfigError(
+                    f"{scope.prefix}* keys require {field} = {needed.value}: {sorted(given)}")
+            if scope.field is not None:
+                settings[scope.field], target = None, {}
+            if not applies:
+                continue
+        for key in keys:
+            value = key.take(entries)
+            if value is not None:
+                target[key.field] = value
+        if target is not settings:  # the scope builds a field
+            for k in given if scope.unknown else ():
+                if k in entries:
+                    raise ConfigError(scope.unknown.format(k))
+            try:
+                settings[scope.field] = scope.build(target)
+            except ValueError as exc:
+                raise ConfigError(f"{scope.field}: {exc}") from exc
     if entries:
         raise ConfigError(f"unknown config keys: {sorted(entries)}")
-
-    settings = dict(
-        mode=mode,
-        model=model,
-        n_runs=n_runs,
-        seed=seed,
-        chunk_size=chunk_size,
-        disturbance=disturbance,
-        a=a,
-        b=b,
-        c=c,
-        state=state,
-        weights=weights,
-        prep_setting=prep_setting,
-        prep_sign=prep_sign,
-        report_format=report_format,
-        sigma=sigma,
-        out_dir=out_dir,
-        log_runs=log_runs,
-        optimizer=optimizer,
-    )
     settings.update((k, v) for k, v in overrides.items() if v is not None)
     return ExperimentConfig(**settings)
 

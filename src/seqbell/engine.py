@@ -45,8 +45,9 @@ from .qubit import (
     Outcome,
     PureState,
     Z_AXIS,
+    _bloch,
+    _born,
     bloch_vector,
-    born_prob,
     dot,
     state_from_bloch,
 )
@@ -221,10 +222,13 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
         state = config.state
         if config.mode is Mode.PREPARED:
             state = state_from_bloch(_effective_bloch(config))
-        # quantum_pair_prob's float steps, each Born probability and dot
-        # product evaluated once
-        dirs = config.directions
-        born = {(x, s): born_prob(state, dirs[x], s) for x in SETTINGS for s in OUTCOMES}
+        # quantum_pair_prob's float steps, with the Bloch vector, each Born
+        # probability and each dot product evaluated once
+        dirs, e = config.directions, state.e
+        r = _bloch(state.s, state.phi, (e.x, e.y, e.z))
+        born = {
+            (x, s): _born(r, (d.x, d.y, d.z), int(s)) for x, d in zip(SETTINGS, dirs) for s in OUTCOMES
+        }
         dots = {(x, y): dot(dirs[x], dirs[y]) for x in SETTINGS for y in SETTINGS}
         law = [born[x, sx] * 0.5 * (1.0 + sx * sy * dots[x, y]) for x, y, sx, sy in _CELLS]
     return np.array(law).reshape(3, 3, 2, 2)

@@ -161,7 +161,7 @@ class PureState:
         if not -UNIT_ATOL <= s <= 1.0 + UNIT_ATOL:
             raise ValueError(f"amplitude s must lie in [0, 1], got {s!r}")
         object.__setattr__(self, "s", min(1.0, max(0.0, s)))
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        object.__setattr__(self, "phi", phi % TWO_PI % TWO_PI)  # a tiny negative phi % 2pi is 2pi
 
 
 def _amplitudes(s: float, phi: float) -> tuple[complex, complex]:

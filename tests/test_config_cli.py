@@ -1,18 +1,21 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from seqbell import cli
 from seqbell.cli import main
-from seqbell.config import ExperimentConfig, parse_config
+from seqbell import config as config_module
+from seqbell.config import REPORT_FORMATS, ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table
-from seqbell.lhv import PAIR_MARGINAL_KEYS, TRIPLE_LABELS, HiddenCountTable, Setting
-from seqbell.qubit import Outcome, PureState, Z_AXIS
+from seqbell.lhv import PAIR_MARGINAL_KEYS, TRIPLE_LABELS, Disturbance, HiddenCountTable, Setting
+from seqbell.qubit import Outcome, PureState, Z_AXIS, direction_from_spherical
 from seqbell.reporting import (
     InequalityReport,
     fmt_value,
@@ -256,10 +259,94 @@ class TestRoundTrip:
         other = replace(base, seed=43)
         assert other.digest() != base.digest()
 
+    @pytest.mark.parametrize("out_dir", ["", " lead", "trail\t", "two\nlines", "a\u2028b"])
+    def test_out_dir_that_a_file_cannot_hold_rejected(self, out_dir):
+        with pytest.raises(ConfigError, match="^output.dir must be one non-empty line"):
+            ExperimentConfig(out_dir=out_dir)
+
+    @given(st.data())
+    def test_random_config_round_trips(self, data):
+        config = data.draw(_configs())
+        again = parse_config(config.to_text())
+        assert again == config
+        assert again.digest() == config.digest()
+
+    def test_one_table_row_adds_a_key(self, monkeypatch):
+        # a protocol key written only when not its default, as a new key would be
+        @dataclass(frozen=True)
+        class WithReadout(ExperimentConfig):
+            readout: float = 0.0
+
+        before = parse_config(LHV_TEXT)
+        before_text, before_digest = before.to_text(), before.digest()
+        row = config_module._key("noise.readout", "readout", *config_module.FLOAT, skip=(0.0,))
+        monkeypatch.setattr(config_module, "ExperimentConfig", WithReadout)
+        monkeypatch.setattr(config_module, "KEYS", config_module.KEYS + (row,))
+        unset = parse_config(LHV_TEXT)
+        assert unset.readout == 0.0
+        assert (unset.to_text(), unset.digest()) == (before_text, before_digest)
+        config = parse_config(LHV_TEXT + "noise.readout = 0.25\n")
+        assert config.readout == 0.25
+        assert "noise.readout = 0.25" in config.protocol_lines()
+        assert config.digest() != before_digest
+        assert parse_config(config.to_text()) == config
+        with pytest.raises(ConfigError, match="key 'noise.readout': not a number: 'high'"):
+            parse_config("noise.readout = high")
+
+
+def _directions():
+    return st.builds(
+        direction_from_spherical, st.floats(0.0, math.pi), st.floats(-2 * math.pi, 2 * math.pi)
+    )
+
+
+@st.composite
+def _configs(draw):
+    """A config as parse_config builds it: the state only for the quantum
+    model, the weights only for lhv, a preparation only in prepared mode."""
+    mode, model = draw(st.sampled_from(Mode)), draw(st.sampled_from(Model))
+    settings = dict(
+        mode=mode,
+        model=model,
+        n_runs=draw(st.integers(1, 10**12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        chunk_size=draw(st.integers(1, 2**22)),
+        disturbance=draw(st.sampled_from(Disturbance)),
+        a=draw(_directions()),
+        b=draw(_directions()),
+        c=draw(_directions()),
+        state=None,
+        report_format=draw(st.sampled_from(REPORT_FORMATS)),
+        sigma=draw(st.floats(1e-3, 1e3)),
+        out_dir=draw(st.none() | st.text()),
+        log_runs=draw(st.booleans()),
+        optimizer=draw(st.none() | st.builds(
+            SearchConfig,
+            objective=st.sampled_from(["eq16", "EQ18"]),
+            n_starts=st.integers(1, 1000),
+            step_tolerance=st.floats(1e-15, 1.0),
+            max_iterations=st.integers(1, 10**6),
+            seed=st.integers(0, 2**32),
+            grid_resolution=st.floats(0.005, 1.0),
+        )),
+    )
+    if model is Model.QUANTUM:
+        settings["state"] = PureState(draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0)), draw(_directions()))
+    else:
+        settings["weights"] = tuple(draw(st.lists(st.floats(0.0, 4.0), min_size=8, max_size=8)))
+    if mode is Mode.PREPARED:
+        settings["prep_setting"] = draw(st.sampled_from(Setting))
+        settings["prep_sign"] = draw(st.sampled_from(Outcome))
+    try:
+        return ExperimentConfig(**settings)
+    except ConfigError:  # weights with no mass, or none on the preparation
+        assume(False)
+
 
 _SIGMA_COMMANDS = (["predict"], ["simulate", "--runs", "100"])
 _SEED_ERROR = "seed must be a non-negative 64-bit integer, got -1"
 _RUNS_ERROR = "n_runs must be >= 1, got 0"
+_OUT_ERROR = "output.dir must be one non-empty line, not padded, got {!r}"
 
 # (argv, the message after "error: "); CONFIG stands for a valid config file
 BAD_FLAGS = [
@@ -285,6 +372,9 @@ BAD_FLAGS = [
         "report.sigma must be finite and > 0, got nan",
         id="nan-config",
     ),
+    # a config file cannot hold these: the flag is checked as strictly
+    pytest.param(["predict", "--out", ""], _OUT_ERROR.format(""), id="out-empty"),
+    pytest.param(["simulate", "--runs", "10", "--out", " out"], _OUT_ERROR.format(" out"), id="out-padded"),
 ]
 
 
@@ -333,18 +423,18 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, error", BAD_FLAGS)
-    def test_bad_sigma_flag_rejected(self, argv, error, tmp_path, capsys):
-        # a bad --sigma, --runs or --seed fails as the config is built, with
-        # the config file's message, before the output directory is made
+    def test_bad_sigma_flag_rejected(self, argv, error, tmp_path, monkeypatch, capsys):
+        # a bad --sigma, --runs, --seed or --out fails as the config is built,
+        # with the config file's message, before any output is written
         path = tmp_path / "run.cfg"
         path.write_text("n_runs = 100\noptimizer.starts = 1\n")
-        out = tmp_path / "out"
         argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
-        assert main(argv + ["--out", str(out)]) == 1
+        monkeypatch.chdir(tmp_path)
+        assert main(argv if "--out" in argv else argv + ["--out", "out"]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {error}"]
         assert not captured.err.startswith("error: optimizer:")
-        assert captured.out == "" and not out.exists()
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("command", ["simulate", "predict", "optimize"])
     def test_non_utf8_config_rejected(self, command, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import seqbell
 from seqbell import inequalities
+from seqbell.config import KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(seqbell.__file__).resolve().parent
@@ -156,3 +158,16 @@ def test_sampler_and_model_make_no_estimate_or_verdict(module):
     defined = _top_level_names(tree)
     assert defined.isdisjoint(statistics)
     assert defined.isdisjoint({"_PAIR_MASKS", "_MARGINAL_CELLS"})
+
+
+def test_readme_config_section_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Config files") :]
+    section = section[: section.index("\n## ")]
+    # an example line starts with each key, or with a direction's name and a
+    # component; the eight weight keys match as one lhv.weights. pattern
+    patterns = {
+        r"lhv\.weights\." if key.name.startswith("lhv.weights.") else re.escape(key.name) + "[ .=]"
+        for key in KEYS
+    }
+    assert [p for p in sorted(patterns) if not re.search("^" + p, section, re.M)] == []
