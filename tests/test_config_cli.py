@@ -9,8 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from seqbell import cli
-from seqbell.cli import main
 from seqbell import config as config_module
+from seqbell.cli import main
 from seqbell.config import REPORT_FORMATS, ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table

@@ -287,6 +287,14 @@ class TestPureStateValidation:
         psi = PureState(0.5, 4 * math.pi + 0.25, Z_AXIS)
         assert psi.phi == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [-1e-300, -1e-17, -0.0, 2 * math.pi])
+    def test_phase_lies_in_zero_to_two_pi_and_stays(self, phi):
+        # phi % 2pi rounds to 2pi for a tiny negative phi; a config file's
+        # round trip needs a phase that building the state again keeps
+        psi = PureState(0.5, phi, Z_AXIS)
+        assert 0.0 <= psi.phi < 2 * math.pi
+        assert PureState(0.5, psi.phi, Z_AXIS) == psi
+
     def test_state_from_bloch_rejects_non_unit(self):
         with pytest.raises(ValueError):
             state_from_bloch(np.array([0.5, 0.0, 0.0]))
