@@ -237,63 +237,6 @@ def test_config_error_message_is_pinned(text, message):
     assert str(caught.value) == message
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", ["", LHV_TEXT, PREPARED_TEXT])
-    def test_parse_serialize_parse_is_identity(self, text):
-        config = parse_config(text)
-        again = parse_config(config.to_text())
-        assert again == config
-
-    def test_round_trip_with_optimizer_and_output(self):
-        config = parse_config(
-            "optimizer.objective = eq18\noptimizer.starts = 7\n"
-            "output.dir = /tmp/x\noutput.log_runs = true\nreport.format = structured"
-        )
-        assert config.optimizer == SearchConfig(objective="eq18", n_starts=7)
-        assert parse_config(config.to_text()) == config
-
-    def test_digest_tracks_protocol_only(self):
-        base = parse_config("")
-        same_physics = replace(base, report_format="structured", sigma=3.0)
-        assert same_physics.digest() == base.digest()
-        other = replace(base, seed=43)
-        assert other.digest() != base.digest()
-
-    @pytest.mark.parametrize("out_dir", ["", " lead", "trail\t", "two\nlines", "a\u2028b"])
-    def test_out_dir_that_a_file_cannot_hold_rejected(self, out_dir):
-        with pytest.raises(ConfigError, match="^output.dir must be one non-empty line"):
-            ExperimentConfig(out_dir=out_dir)
-
-    @given(st.data())
-    def test_random_config_round_trips(self, data):
-        config = data.draw(_configs())
-        again = parse_config(config.to_text())
-        assert again == config
-        assert again.digest() == config.digest()
-
-    def test_one_table_row_adds_a_key(self, monkeypatch):
-        # a protocol key written only when not its default, as a new key would be
-        @dataclass(frozen=True)
-        class WithReadout(ExperimentConfig):
-            readout: float = 0.0
-
-        before = parse_config(LHV_TEXT)
-        before_text, before_digest = before.to_text(), before.digest()
-        row = config_module._key("noise.readout", "readout", *config_module.FLOAT, skip=(0.0,))
-        monkeypatch.setattr(config_module, "ExperimentConfig", WithReadout)
-        monkeypatch.setattr(config_module, "KEYS", config_module.KEYS + (row,))
-        unset = parse_config(LHV_TEXT)
-        assert unset.readout == 0.0
-        assert (unset.to_text(), unset.digest()) == (before_text, before_digest)
-        config = parse_config(LHV_TEXT + "noise.readout = 0.25\n")
-        assert config.readout == 0.25
-        assert "noise.readout = 0.25" in config.protocol_lines()
-        assert config.digest() != before_digest
-        assert parse_config(config.to_text()) == config
-        with pytest.raises(ConfigError, match="key 'noise.readout': not a number: 'high'"):
-            parse_config("noise.readout = high")
-
-
 def _directions():
     return st.builds(
         direction_from_spherical, st.floats(0.0, math.pi), st.floats(-2 * math.pi, 2 * math.pi)
@@ -339,8 +282,64 @@ def _configs(draw):
         settings["prep_sign"] = draw(st.sampled_from(Outcome))
     try:
         return ExperimentConfig(**settings)
-    except ConfigError:  # weights with no mass, or none on the preparation
-        assume(False)
+    except ConfigError:  # weights with no mass or none on the preparation, or an
+        assume(False)  # out_dir that a config file cannot hold
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("text", ["", LHV_TEXT, PREPARED_TEXT])
+    def test_parse_serialize_parse_is_identity(self, text):
+        config = parse_config(text)
+        again = parse_config(config.to_text())
+        assert again == config
+
+    def test_round_trip_with_optimizer_and_output(self):
+        config = parse_config(
+            "optimizer.objective = eq18\noptimizer.starts = 7\n"
+            "output.dir = /tmp/x\noutput.log_runs = true\nreport.format = structured"
+        )
+        assert config.optimizer == SearchConfig(objective="eq18", n_starts=7)
+        assert parse_config(config.to_text()) == config
+
+    def test_digest_tracks_protocol_only(self):
+        base = parse_config("")
+        same_physics = replace(base, report_format="structured", sigma=3.0)
+        assert same_physics.digest() == base.digest()
+        other = replace(base, seed=43)
+        assert other.digest() != base.digest()
+
+    @pytest.mark.parametrize("out_dir", ["", " lead", "trail\t", "two\nlines", "a\u2028b"])
+    def test_out_dir_that_a_file_cannot_hold_rejected(self, out_dir):
+        with pytest.raises(ConfigError, match="^output.dir must be one non-empty line"):
+            ExperimentConfig(out_dir=out_dir)
+
+    @given(_configs())
+    def test_random_config_round_trips(self, config):
+        again = parse_config(config.to_text())
+        assert again == config
+        assert again.digest() == config.digest()
+
+    def test_one_table_row_adds_a_key(self, monkeypatch):
+        # a protocol key written only when not its default, as a new key would be
+        @dataclass(frozen=True)
+        class WithReadout(ExperimentConfig):
+            readout: float = 0.0
+
+        before = parse_config(LHV_TEXT)
+        before_text, before_digest = before.to_text(), before.digest()
+        row = config_module._key("noise.readout", "readout", *config_module.FLOAT, skip=(0.0,))
+        monkeypatch.setattr(config_module, "ExperimentConfig", WithReadout)
+        monkeypatch.setattr(config_module, "KEYS", config_module.KEYS + (row,))
+        unset = parse_config(LHV_TEXT)
+        assert unset.readout == 0.0
+        assert (unset.to_text(), unset.digest()) == (before_text, before_digest)
+        config = parse_config(LHV_TEXT + "noise.readout = 0.25\n")
+        assert config.readout == 0.25
+        assert "noise.readout = 0.25" in config.protocol_lines()
+        assert config.digest() != before_digest
+        assert parse_config(config.to_text()) == config
+        with pytest.raises(ConfigError, match="key 'noise.readout': not a number: 'high'"):
+            parse_config("noise.readout = high")
 
 
 _SIGMA_COMMANDS = (["predict"], ["simulate", "--runs", "100"])
