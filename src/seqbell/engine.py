@@ -5,8 +5,8 @@ performs two back-to-back measurements on one system under either the
 quantum model or the deterministic joint-reality model.  Outcomes land in
 a 9 x 4 count table; for the hidden-variable model the joint reality in
 force between the two measurements is also tallied per run.  `cell_law`
-gives the exact probability of every cell of that table, the reference the
-samplers are tested against.
+gives the exact probability of every cell of that table.  The samplers are
+tested against it, and the quantum sampler's thresholds are its cells' factors.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i) and chunk tables merge by addition, so
@@ -40,15 +40,13 @@ from .lhv import (
     sample_triple_indices,
 )
 from .qubit import (
-    OUTCOMES,
     Direction,
     Outcome,
     PureState,
     Z_AXIS,
     _bloch,
     _born,
-    bloch_vector,
-    dot,
+    _dot,
     state_from_bloch,
 )
 
@@ -201,10 +199,24 @@ def _chunk_rng(seed: int, series: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(series, chunk_index)))
 
 
-def _effective_bloch(config: ProtocolConfig) -> np.ndarray:
+def _quantum_factors(config: ProtocolConfig):
+    """The two factors of every quantum cell, with quantum_pair_prob's float
+    steps: P(x^s) of the state the runs start from at born[2x + i], and
+    (1 + s x.y)/2 at second[9i + 3x + y], with i = 0 for s = +1 and 1 for
+    s = -1.  Cell (x, y, sx, sy) is P(x^sx) times the second factor of
+    s = sx * sy."""
+    dirs, state = config.directions, config.state
     if config.mode is Mode.PREPARED:
-        return int(config.prep_sign) * config.directions[config.prep_setting].as_array()
-    return bloch_vector(config.state)
+        state = state_from_bloch(int(config.prep_sign) * dirs[config.prep_setting].as_array())
+    v = [(d.x, d.y, d.z) for d in (*dirs, state.e)]
+    r = _bloch(state.s, state.phi, v[3])
+    born = [_born(r, v[x], s) for x in range(3) for s in (1, -1)]
+    dots = [_dot(v[x], v[y]) for x in range(3) for y in range(3)]
+    return born, [0.5 * (1.0 + s * d) for s in (1, -1) for d in dots]
+
+
+# each cell's indices into the two factor lists of _quantum_factors
+_FACTORS = [(2 * x + (sx < 0), 9 * (sx != sy) + 3 * x + y) for x, y, sx, sy in _CELLS]
 
 
 def cell_law(config: ProtocolConfig) -> np.ndarray:
@@ -219,18 +231,8 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     if config.model is Model.LHV:
         law = [lhv_pair_prob(config.run_dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
     else:
-        state = config.state
-        if config.mode is Mode.PREPARED:
-            state = state_from_bloch(_effective_bloch(config))
-        # quantum_pair_prob's float steps, with the Bloch vector, each Born
-        # probability and each dot product evaluated once
-        dirs, e = config.directions, state.e
-        r = _bloch(state.s, state.phi, (e.x, e.y, e.z))
-        born = {
-            (x, s): _born(r, (d.x, d.y, d.z), int(s)) for x, d in zip(SETTINGS, dirs) for s in OUTCOMES
-        }
-        dots = {(x, y): dot(dirs[x], dirs[y]) for x in SETTINGS for y in SETTINGS}
-        law = [born[x, sx] * 0.5 * (1.0 + sx * sy * dots[x, y]) for x, y, sx, sy in _CELLS]
+        born, second = _quantum_factors(config)
+        law = [born[i] * second[j] for i, j in _FACTORS]
     return np.array(law).reshape(3, 3, 2, 2)
 
 
@@ -330,11 +332,10 @@ def _series_kernel(config: ProtocolConfig):
     """
     if config.model is Model.LHV:
         return partial(_lhv_chunk, config.run_dist)
-    dirs = np.array([d.as_array() for d in config.directions])
-    # P(+1) of the first outcome per setting, of the second per (first outcome, pair)
-    p_first = 0.5 * (1.0 + dirs @ _effective_bloch(config))
-    p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
-    return partial(_quantum_chunk, p_first, p_second)
+    # P(+1) of the first outcome per setting, of the second per run row
+    # 9 * minus1 + 3 * first + second: cell_law's own factors
+    born, second = _quantum_factors(config)
+    return partial(_quantum_chunk, np.array(born[::2]), np.array(second))
 
 
 def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):

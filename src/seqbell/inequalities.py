@@ -130,14 +130,20 @@ def quantum_pair_prob(
     return born_prob(state, x, sign_x) * 0.5 * (1.0 + int(sign_x) * int(sign_y) * dot(x, y))
 
 
+def _lhs(kind: str, ab, ac, bc):
+    """lhs16 or lhs18 from the three dot products, with the same IEEE steps
+    on floats and on arrays."""
+    return ab - ac + bc if kind == "EQ16" else ab + bc - 2.0 * ac + ab * bc
+
+
 def lhs16(a: Direction, b: Direction, c: Direction) -> float:
     """Left side of EQ16: a.b - a.c + b.c."""
-    return dot(a, b) - dot(a, c) + dot(b, c)
+    return _lhs("EQ16", dot(a, b), dot(a, c), dot(b, c))
 
 
 def lhs18(a: Direction, b: Direction, c: Direction) -> float:
     """Left side of EQ18: b.(a + c) - 2 a.c + (a.b)(b.c)."""
-    return dot(b, a) + dot(b, c) - 2.0 * dot(a, c) + dot(a, b) * dot(b, c)
+    return _lhs("EQ18", dot(a, b), dot(a, c), dot(b, c))
 
 
 def eq16_report(

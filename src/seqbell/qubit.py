@@ -95,14 +95,17 @@ def direction_from_spherical(theta: float, phi: float) -> Direction:
     return Direction(*_unit(theta, phi))
 
 
-def dot(d1: Direction, d2: Direction) -> float:
-    """Scalar product of two settings, clamped into [-1, 1]."""
-    value = d1.x * d2.x + d1.y * d2.y + d1.z * d2.z
-    return min(1.0, max(-1.0, value))
-
-
 # Each formula is written once on plain floats, a vector as an (x, y, z)
 # triple and a state as (s, phi) against e; the object functions call it.
+
+
+def _dot(u, v) -> float:
+    return min(1.0, max(-1.0, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
+
+
+def dot(d1: Direction, d2: Direction) -> float:
+    """Scalar product of two settings, clamped into [-1, 1]."""
+    return _dot((d1.x, d1.y, d1.z), (d2.x, d2.y, d2.z))
 
 
 def _frame(ex: float, ey: float, ez: float):

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import Direction, _unit, direction_from_spherical
+from .inequalities import _lhs
+from .qubit import TWO_PI, Direction, _dot, _uniform, _unit, direction_from_spherical
 
-TWO_PI = 2.0 * math.pi
 OBJECTIVE_KINDS = ("EQ16", "EQ18")
 POLE_EPSILON = 1e-6  # below this |sin theta| the azimuth is re-seeded
 
@@ -98,10 +98,6 @@ class SearchResult:
     trajectory: tuple[float, ...]
 
 
-def _dot(u, v) -> float:
-    return min(1.0, max(-1.0, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
-
-
 def objective(kind: str, angles) -> float:
     """lhs16 or lhs18 of the directions at six angles (a TripleConfiguration
     or any sequence in its order), with the float steps of qubit.dot."""
@@ -109,12 +105,6 @@ def objective(kind: str, angles) -> float:
     ta, pa, tb, pb, tc, pc = angles
     a, b, c = _unit(ta, pa), _unit(tb, pb), _unit(tc, pc)
     return _lhs(kind, _dot(a, b), _dot(a, c), _dot(b, c))
-
-
-def _lhs(kind: str, ab, ac, bc):
-    """lhs16 or lhs18 from the three dot products, with the same IEEE steps
-    on floats and on arrays."""
-    return ab - ac + bc if kind == "EQ16" else ab + bc - 2.0 * ac + ab * bc
 
 
 def _stacked_dots(left, right) -> np.ndarray:
@@ -166,14 +156,14 @@ def _reseed_poles(angles: list[float], rng: np.random.Generator) -> list[float]:
     """
     for i in (0, 2, 4):
         if abs(math.sin(angles[i])) < POLE_EPSILON:
-            angles[i + 1] = rng.uniform(0.0, TWO_PI)
+            angles[i + 1] = _uniform(rng, 0.0, TWO_PI)
     return angles
 
 
 def _random_start(rng: np.random.Generator) -> list[float]:
     angles = []
     for _ in range(3):
-        angles += (math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, TWO_PI))
+        angles += (math.acos(_uniform(rng, -1.0, 1.0)), _uniform(rng, 0.0, TWO_PI))
     return angles
 
 

@@ -170,11 +170,11 @@ def check_quantum_consistency(rng, seed) -> CheckResult:
         directions = _random_directions(rng)
         psi = qubit.random_state(rng, qubit.random_direction(rng))
         result = _ensemble((seed + i) % 2**64, 2 * 10**5, directions, state=psi)
-        dirs = result.config.directions
+        law = engine.cell_law(result.config).tolist()
         for x in Setting:
             for y in Setting:
                 estimate = inequalities.estimate_pair_prob(result.table, x, PLUS, y, PLUS)
-                true = inequalities.quantum_pair_prob(psi, dirs[x], PLUS, dirs[y], PLUS)
+                true = law[x][y][0][0]
                 sigma = math.sqrt(true * (1 - true) / estimate.n_conditioning)
                 if sigma == 0.0:
                     if estimate.value != true:
@@ -190,9 +190,7 @@ def check_gradient(rng) -> CheckResult:
     worst = 0.0
     for kind in ("EQ16", "EQ18"):
         for _ in range(100):
-            base = []
-            for _ in range(3):
-                base += (math.acos(qubit._uniform(rng, -1.0, 1.0)), qubit._uniform(rng, 0.0, 2 * math.pi))
+            base = search._random_start(rng)
             exact = search.gradient(kind, base).tolist()
             for i in range(6):
                 h = 1e-5

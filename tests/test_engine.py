@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,24 @@ def chi_square(counts, law, n_runs):
     return stat, int(allowed.sum()) - 1
 
 
+def start_state(config):
+    """The state every run of a quantum config starts from: the preparation
+    eigenstate in prepared mode, else the configured state."""
+    if config.mode is Mode.PREPARED:
+        return state_from_bloch(int(config.prep_sign) * config.directions[config.prep_setting].as_array())
+    return config.state
+
+
+def law_factors(config):
+    """The factors of quantum_pair_prob(state, x, sx, y, +1) as a quantum chunk
+    draws against them: P(x^+) per setting, and the second outcome's
+    (1 + sx x.y)/2 per (first outcome, x, y), flattened in that order."""
+    state, d = start_state(config), config.directions
+    p_first = [born_prob(state, x, PLUS) for x in d]
+    p_second = [0.5 * (1.0 + int(s) * dot(x, y)) for s in OUTCOMES for x in d for y in d]
+    return np.array(p_first), np.array(p_second)
+
+
 class TestCellLaw:
     def test_matches_pair_probs_bitwise(self):
         cells = list(itertools.product((A, B, C), (A, B, C), OUTCOMES, OUTCOMES))
@@ -301,10 +320,7 @@ class TestCellLaw:
             law = cell_law(config)
             prepared = config.mode is Mode.PREPARED
             if config.model is Model.QUANTUM:
-                state = config.state
-                if prepared:
-                    bloch = int(config.prep_sign) * config.directions[config.prep_setting].as_array()
-                    state = state_from_bloch(bloch)
+                state = start_state(config)
                 d = config.directions
                 expected = [quantum_pair_prob(state, d[x], sx, d[y], sy) for x, y, sx, sy in cells]
             else:
@@ -358,13 +374,7 @@ def reference_chunk_cells(config, series, chunk_index, size):
     prepared = config.mode is Mode.PREPARED
     triples = None
     if config.model is Model.QUANTUM:
-        dirs = np.array([d.as_array() for d in config.directions])
-        if prepared:
-            bloch = int(config.prep_sign) * config.directions[config.prep_setting].as_array()
-        else:
-            bloch = bloch_vector(config.state)
-        p_first = 0.5 * (1.0 + dirs @ bloch)
-        p_second = 0.5 * (1.0 + np.multiply.outer((1.0, -1.0), dirs @ dirs.T)).ravel()
+        p_first, p_second = law_factors(config)
         first = rng.integers(0, 3, size=size).astype(np.int8)
         second = rng.integers(0, 3, size=size).astype(np.int8)
         o1 = np.where(rng.random(size) < p_first[first], np.int8(1), np.int8(-1))
@@ -417,6 +427,17 @@ def chunk_cells(config, series, chunk_index, size):
 
 
 class TestChunkKernels:
+    @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.QUANTUM])
+    def test_quantum_thresholds_are_the_laws_factors(self, config):
+        # the kernel draws from cell_law's own numbers: its thresholds are
+        # the factors of the law's cells, to the bit
+        p_first, p_second = engine._series_kernel(config).args
+        expected_first, expected_second = law_factors(config)
+        assert p_first.tobytes() == expected_first.tobytes()
+        assert p_second.tobytes() == expected_second.tobytes()
+        law = cell_law(config)
+        assert law[:, :, 0, 0].tobytes() == (p_first[:, None] * p_second[:9].reshape(3, 3)).tobytes()
+
     @pytest.mark.parametrize("config", _oracle_cases())
     def test_match_reference_bit_for_bit(self, config):
         for seed, series, chunk_index in ((0, 0, 0), (7, 1, 3), (2**64 - 1, 0, 152587)):
@@ -499,8 +520,16 @@ class TestThreadPool:
             "import sys, seqbell.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
         )
+        # the child finds seqbell where this process found it, with or without PYTHONPATH
+        src = str(Path(engine.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert done.stdout.strip() == "[]"
 
