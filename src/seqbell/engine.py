@@ -9,8 +9,9 @@ gives the exact probability of every cell of that table.  The samplers are
 tested against it, and the quantum sampler's thresholds are its cells' factors.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
-RNG stream derived from (seed, s, i) and chunk tables merge by addition, so
-results are bit-identical for any worker count.  Chunks run on threads:
+RNG stream derived from (seed, s, i); chunk tallies of the run keys add up,
+and each series folds the sum once through its model's table from keys to
+count cells, so results are bit-identical for any worker count.  Chunks run on threads:
 the vectorized samplers spend their time in numpy, which releases the GIL.
 Only the count tables are kept: the run log regenerates each chunk's runs
 from its own stream, one chunk at a time.
@@ -36,7 +37,6 @@ from .lhv import (
     SETTINGS,
     TRIPLE_COMPONENTS,
     TripleDistribution,
-    lhv_pair_prob,
     sample_triple_indices,
 )
 from .qubit import (
@@ -144,6 +144,12 @@ class ProtocolConfig:
     prep_sign: Outcome = Outcome.PLUS
 
     def __post_init__(self):
+        # fields that the model and mode do not read hold their defaults, so
+        # configs that behave alike are equal and round-trip through a file
+        object.__setattr__(self, "weights" if self.model is Model.QUANTUM else "state", None)
+        if self.mode is not Mode.PREPARED:
+            object.__setattr__(self, "prep_setting", Setting.A)
+            object.__setattr__(self, "prep_sign", Outcome.PLUS)
         self.validate()
 
     @property
@@ -218,6 +224,13 @@ def _quantum_factors(config: ProtocolConfig):
 # each cell's indices into the two factor lists of _quantum_factors
 _FACTORS = [(2 * x + (sx < 0), 9 * (sx != sy) + 3 * x + y) for x, y, sx, sy in _CELLS]
 
+# the count-table cell of each run key; an lhv key is t * 9 + 3 * x + y (reality, settings)
+_QUANTUM_CELLS = np.arange(36)
+_LHV_CELLS = np.array(
+    [_CELL_INDEX[x, t[x], y, t[y]] for t in TRIPLE_COMPONENTS.tolist() for x in SETTINGS for y in SETTINGS],
+    dtype=np.int8,
+)
+
 
 def cell_law(config: ProtocolConfig) -> np.ndarray:
     """Exact P(first outcome, second outcome | setting pair) of every cell.
@@ -229,11 +242,14 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     two-series mode, from the configured state or weights.
     """
     if config.model is Model.LHV:
-        law = [lhv_pair_prob(config.run_dist, x, sx, y, sy) for x, y, sx, sy in _CELLS]
+        # np.add.at adds one key at a time: each cell sums its realities'
+        # weights in reality order from 0.0, the float steps of lhv_pair_prob
+        law = np.zeros(36)
+        np.add.at(law, _LHV_CELLS, np.repeat(config.run_dist.weights, 9))
     else:
         born, second = _quantum_factors(config)
-        law = [born[i] * second[j] for i, j in _FACTORS]
-    return np.array(law).reshape(3, 3, 2, 2)
+        law = np.array([born[i] * second[j] for i, j in _FACTORS])
+    return law.reshape(3, 3, 2, 2)
 
 
 # The samplers return each run's key, computed in place on int8 buffers.  A
@@ -302,18 +318,6 @@ def _quantum_chunk(p_first: np.ndarray, p_second: np.ndarray, n: int, rng: np.ra
     return cell
 
 
-# the cell of each lhv run key t * 9 + 3 * x + y (reality, first and second
-# setting), and the exact 0/1 matrix folding a tally of the keys into cell counts
-_LHV_CELLS = np.array(
-    [
-        4 * (3 * x + y) + 2 * (TRIPLE_COMPONENTS[t, x] < 0) + (TRIPLE_COMPONENTS[t, y] < 0)
-        for t, x, y in itertools.product(range(8), SETTINGS, SETTINGS)
-    ],
-    dtype=np.int8,
-)
-_LHV_FOLD = np.eye(36, dtype=np.int64)[_LHV_CELLS]
-
-
 def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
     triples = sample_triple_indices(dist, n, rng)  # 64-bit draws: no half word held
     key, second = _draw_settings(rng, n)
@@ -324,18 +328,19 @@ def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
 
 
 def _series_kernel(config: ProtocolConfig):
-    """One series' chunk kernel (n, rng) -> run keys, its invariants bound once.
+    """One series' chunk kernel (n, rng) -> run keys, its invariants bound
+    once, and the count-table cell of each of its run keys.
 
     Its settings come from _draw_settings, which gives numpy's values only on
     a generator that holds no 32-bit half word: call it on a fresh generator,
     as _draw_chunk does with each chunk's own.
     """
     if config.model is Model.LHV:
-        return partial(_lhv_chunk, config.run_dist)
+        return partial(_lhv_chunk, config.run_dist), _LHV_CELLS
     # P(+1) of the first outcome per setting, of the second per run row
     # 9 * minus1 + 3 * first + second: cell_law's own factors
     born, second = _quantum_factors(config)
-    return partial(_quantum_chunk, np.array(born[::2]), np.array(second))
+    return partial(_quantum_chunk, np.array(born[::2]), np.array(second)), _QUANTUM_CELLS
 
 
 def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
@@ -344,12 +349,8 @@ def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, s
 
 
 def _run_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
-    """One chunk's 36 cell counts and, for the lhv model, its 8 reality counts."""
-    key = _draw_chunk(config, kernel, series, chunk_index, size)
-    if config.model is Model.QUANTUM:
-        return np.bincount(key, minlength=36), None
-    tally = np.bincount(key, minlength=72)
-    return tally @ _LHV_FOLD, tally.reshape(8, 9).sum(1)
+    """One chunk's tally of its run keys, up to the largest key drawn."""
+    return np.bincount(_draw_chunk(config, kernel, series, chunk_index, size))
 
 
 def _chunk_plan(n_runs: int, chunk_size: int):
@@ -371,10 +372,6 @@ class EnsembleResult:
     hidden: HiddenCountTable | None
     series: int = 0
 
-    @property
-    def n_runs(self) -> int:
-        return self.config.n_runs
-
 
 def _usable_cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
@@ -387,7 +384,7 @@ _IN_FLIGHT_PER_WORKER = 4
 
 
 def _chunk_tables(config: ProtocolConfig, kernel, series: int, workers: int):
-    """Yield the count tables of each chunk of one series, in chunk order."""
+    """Yield the key tally of each chunk of one series, in chunk order."""
     plan = _chunk_plan(config.n_runs, config.chunk_size)
     tasks = ((config, kernel, series, i, size) for i, size in enumerate(plan))
     n_chunks = -(-config.n_runs // config.chunk_size)
@@ -407,17 +404,16 @@ def _chunk_tables(config: ProtocolConfig, kernel, series: int, workers: int):
             yield pending.popleft().result()
 
 
-def _generate_series(config: ProtocolConfig, kernel, series: int, workers: int) -> EnsembleResult:
-    counts, hidden = np.zeros(36, dtype=np.int64), None
-    for chunk_counts, chunk_hidden in _chunk_tables(config, kernel, series, workers):
-        counts += chunk_counts
-        hidden = chunk_hidden if hidden is None else hidden + chunk_hidden
-    return EnsembleResult(
-        config=config,
-        table=RunCountTable(counts.reshape(3, 3, 2, 2)),
-        hidden=None if hidden is None else HiddenCountTable(hidden),
-        series=series,
-    )
+def _generate_series(config: ProtocolConfig, kernel, cells, series: int, workers: int):
+    """One series' key tally, folded once into its 36 cell counts and, for
+    the lhv model, its 8 reality counts."""
+    tally = np.zeros(len(cells), dtype=np.int64)
+    for chunk in _chunk_tables(config, kernel, series, workers):
+        tally[: len(chunk)] += chunk
+    counts = np.zeros(36, dtype=np.int64)
+    np.add.at(counts, cells, tally)
+    hidden = HiddenCountTable(tally.reshape(8, 9).sum(1)) if config.model is Model.LHV else None
+    return EnsembleResult(config, RunCountTable(counts.reshape(3, 3, 2, 2)), hidden, series)
 
 
 def run_ensemble(config: ProtocolConfig, workers: int = 1) -> EnsembleResult:
@@ -428,7 +424,7 @@ def run_ensemble(config: ProtocolConfig, workers: int = 1) -> EnsembleResult:
     """
     if config.mode is Mode.TWO_SERIES:
         raise ConfigError("two-series mode is generated by run_two_series")
-    return _generate_series(config, _series_kernel(config), series=0, workers=workers)
+    return _generate_series(config, *_series_kernel(config), series=0, workers=workers)
 
 
 def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleResult, EnsembleResult]:
@@ -441,9 +437,7 @@ def run_two_series(config: ProtocolConfig, workers: int = 1) -> tuple[EnsembleRe
     if config.mode is not Mode.TWO_SERIES:
         raise ConfigError("run_two_series requires mode = two-series")
     kernel = _series_kernel(config)
-    plus = _generate_series(config, kernel, series=0, workers=workers)
-    minus = _generate_series(config, kernel, series=1, workers=workers)
-    return plus, minus
+    return tuple(_generate_series(config, *kernel, series=s, workers=workers) for s in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +462,18 @@ def write_run_log(result: EnsembleResult, fileobj) -> None:
     Memory stays bounded by the chunk size whatever the number of runs.
     """
     config = result.config
-    prep = (
-        f"{config.prep_setting.name},{int(config.prep_sign):+d}"
-        if config.mode is Mode.PREPARED
-        else ","
-    )
+    prepared = config.mode is Mode.PREPARED
+    prep = f"{config.prep_setting.name},{int(config.prep_sign):+d}" if prepared else ","
     head = f",{config.mode.value},{config.model.value},{prep},"
-    # everything after the run_id, indexed by run key; every tail has one length
-    tails = [f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in _CELLS]
-    if config.model is Model.LHV:
-        tails = [tails[cell] for cell in _LHV_CELLS]
-    tails = np.frombuffer("".join(tails).encode("ascii"), dtype=np.uint8).reshape(len(tails), -1)
+    # everything after the run_id, by cell and then by run key; every tail has one length
+    tails = "".join(f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in _CELLS)
+    kernel, cells = _series_kernel(config)
+    tails = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(36, -1)[cells]
     fileobj.write(
         "run_id,mode,model,prep_setting,prep_sign,"
         "first_setting,first_outcome,second_setting,second_outcome\n"
     )
-    kernel, start = _series_kernel(config), 0
+    start = 0
     for i, size in enumerate(_chunk_plan(config.n_runs, config.chunk_size)):
         keys = _draw_chunk(config, kernel, result.series, i, size)
         lo = 0

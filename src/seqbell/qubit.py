@@ -71,9 +71,6 @@ class Direction:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
-
 
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
@@ -100,6 +97,8 @@ def direction_from_spherical(theta: float, phi: float) -> Direction:
 
 
 def _dot(u, v) -> float:
+    if u == v:  # x.x can land an ulp below 1: a setting measured twice is certain
+        return 1.0
     return min(1.0, max(-1.0, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]))
 
 

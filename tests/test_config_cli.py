@@ -245,12 +245,11 @@ def _directions():
 
 @st.composite
 def _configs(draw):
-    """A config as parse_config builds it: the state only for the quantum
-    model, the weights only for lhv, a preparation only in prepared mode."""
-    mode, model = draw(st.sampled_from(Mode)), draw(st.sampled_from(Model))
+    """Any valid config, with a state, weights and a preparation drawn for
+    every model and mode: the config holds only those that it reads."""
     settings = dict(
-        mode=mode,
-        model=model,
+        mode=draw(st.sampled_from(Mode)),
+        model=draw(st.sampled_from(Model)),
         n_runs=draw(st.integers(1, 10**12)),
         seed=draw(st.integers(0, 2**64 - 1)),
         chunk_size=draw(st.integers(1, 2**22)),
@@ -258,7 +257,10 @@ def _configs(draw):
         a=draw(_directions()),
         b=draw(_directions()),
         c=draw(_directions()),
-        state=None,
+        state=PureState(draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0)), draw(_directions())),
+        weights=tuple(draw(st.lists(st.floats(0.0, 4.0), min_size=8, max_size=8))),
+        prep_setting=draw(st.sampled_from(Setting)),
+        prep_sign=draw(st.sampled_from(Outcome)),
         report_format=draw(st.sampled_from(REPORT_FORMATS)),
         sigma=draw(st.floats(1e-3, 1e3)),
         out_dir=draw(st.none() | st.text()),
@@ -273,13 +275,6 @@ def _configs(draw):
             grid_resolution=st.floats(0.005, 1.0),
         )),
     )
-    if model is Model.QUANTUM:
-        settings["state"] = PureState(draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0)), draw(_directions()))
-    else:
-        settings["weights"] = tuple(draw(st.lists(st.floats(0.0, 4.0), min_size=8, max_size=8)))
-    if mode is Mode.PREPARED:
-        settings["prep_setting"] = draw(st.sampled_from(Setting))
-        settings["prep_sign"] = draw(st.sampled_from(Outcome))
     try:
         return ExperimentConfig(**settings)
     except ConfigError:  # weights with no mass or none on the preparation, or an

@@ -420,7 +420,7 @@ def chunk_cells(config, series, chunk_index, size):
     each run's cell and, for the lhv model, its reality, both read off the
     run keys; and the generator after the draw."""
     rng = engine._chunk_rng(config.seed, series, chunk_index)
-    key = engine._series_kernel(config)(size, rng)
+    key = engine._series_kernel(config)[0](size, rng)
     if config.model is Model.QUANTUM:
         return key, None, rng
     return engine._LHV_CELLS[key], key // 9, rng
@@ -431,12 +431,25 @@ class TestChunkKernels:
     def test_quantum_thresholds_are_the_laws_factors(self, config):
         # the kernel draws from cell_law's own numbers: its thresholds are
         # the factors of the law's cells, to the bit
-        p_first, p_second = engine._series_kernel(config).args
+        p_first, p_second = engine._series_kernel(config)[0].args
         expected_first, expected_second = law_factors(config)
         assert p_first.tobytes() == expected_first.tobytes()
         assert p_second.tobytes() == expected_second.tobytes()
         law = cell_law(config)
         assert law[:, :, 0, 0].tobytes() == (p_first[:, None] * p_second[:9].reshape(3, 3)).tobytes()
+
+    def test_same_setting_twice_is_certain(self):
+        # x.x is exactly 1, so a setting measured twice gives the same outcome
+        # with probability 1, not 1 - 2**-53
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            dirs = tuple(random_direction(rng) for _ in range(3))
+            state = random_state(rng, random_direction(rng))
+            _, p_second = engine._series_kernel(quantum_config(directions=dirs, state=state))[0].args
+            assert p_second[[0, 4, 8]].tolist() == [1.0] * 3
+            assert p_second[[9, 13, 17]].tolist() == [0.0] * 3
+            for x, s in itertools.product(dirs, OUTCOMES):
+                assert quantum_pair_prob(state, x, s, x, s.flipped()) == 0.0
 
     @pytest.mark.parametrize("config", _oracle_cases())
     def test_match_reference_bit_for_bit(self, config):
@@ -460,17 +473,26 @@ class TestChunkKernels:
 
     @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.LHV])
     def test_lhv_fold_is_exact(self, config):
-        # the counts folded from one tally of the 72 run keys are the
-        # bincounts of the chunk's cells and realities
-        kernel = engine._series_kernel(config)
-        for series, chunk_index in ((0, 0), (1, 3)):
-            for size in (1, 7, 4099):
-                counts, hidden = engine._run_chunk(config, kernel, series, chunk_index, size)
-                cell, triples, _ = chunk_cells(config, series, chunk_index, size)
-                assert counts.dtype == hidden.dtype == np.int64
-                assert np.array_equal(counts, np.bincount(cell, minlength=36))
-                assert np.array_equal(hidden, np.bincount(triples, minlength=8))
-                assert counts.sum() == hidden.sum() == size
+        # the counts folded once from the series' tally of the 72 run keys
+        # are the bincounts of every chunk's cells and realities
+        for n_runs, chunk_size in ((1, 7), (7, 7), (4099 + 7, 4099)):
+            config = replace(config, n_runs=n_runs, chunk_size=chunk_size)
+            result = run_ensemble(config)
+            assert result.table.counts.dtype == result.hidden.counts.dtype == np.int64
+            _assert_chunk_bincounts(result)
+            assert result.table.total_runs == result.hidden.counts.sum() == n_runs
+
+
+def _assert_chunk_bincounts(result):
+    """The result's tables are the bincounts of every chunk's cells and
+    realities as chunk_cells reads them."""
+    config, cells, triples = result.config, [], []
+    for i, size in enumerate(engine._chunk_plan(config.n_runs, config.chunk_size)):
+        cell, triple, _ = chunk_cells(config, result.series, i, size)
+        cells.append(cell)
+        triples.append(triple)
+    assert np.array_equal(result.table.counts.ravel(), np.bincount(np.concatenate(cells), minlength=36))
+    assert np.array_equal(result.hidden.counts, np.bincount(np.concatenate(triples), minlength=8))
 
 
 def _assert_same_tables(results, reference):
@@ -582,7 +604,6 @@ class TestRunEnsemble:
     def test_single_run_table(self):
         result = run_ensemble(quantum_config(n_runs=1))
         assert result.table.total_runs == 1
-        assert result.n_runs == 1
 
     def test_table_conservation(self):
         result = run_ensemble(quantum_config(n_runs=12345, chunk_size=1000))
@@ -642,7 +663,7 @@ class TestRunEnsemble:
 
     def test_chunk_plan_is_never_built(self, monkeypatch):
         # 10^10 runs are 152 588 default chunks: nothing may grow with that count
-        monkeypatch.setattr(engine, "_run_chunk", lambda *task: (np.zeros(36, np.int64), None))
+        monkeypatch.setattr(engine, "_run_chunk", lambda *task: np.zeros(36, np.int64))
         config = quantum_config(n_runs=10**10)
         tracemalloc.start()
         try:
@@ -1016,12 +1037,30 @@ def reference_run_log(result, fileobj):
         "run_id,mode,model,prep_setting,prep_sign,"
         "first_setting,first_outcome,second_setting,second_outcome\n"
     )
-    kernel, start = engine._series_kernel(config), 0
+    (kernel, _), start = engine._series_kernel(config), 0
     for i, size in enumerate(engine._chunk_plan(config.n_runs, config.chunk_size)):
         keys = engine._draw_chunk(config, kernel, result.series, i, size).tolist()
         run_ids = map(str, range(start, start + size))
         fileobj.writelines(map(str.__add__, run_ids, map(tails.__getitem__, keys)))
         start += size
+
+
+class TestLhvTwoSeries:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tables_and_logs_match_every_chunk(self, monkeypatch, workers):
+        # nine chunks per series, the last one partial; two real threads
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        dist = TripleDistribution(np.arange(1.0, 9.0))
+        config = lhv_config(dist=dist, mode=Mode.TWO_SERIES, n_runs=2500, seed=17, chunk_size=300)
+        results = run_two_series(config, workers=workers)
+        assert [r.series for r in results] == [0, 1]
+        for result in results:
+            _assert_chunk_bincounts(result)
+            ours, ref = io.StringIO(), io.StringIO()
+            write_run_log(result, ours)
+            reference_run_log(result, ref)
+            assert ours.getvalue() == ref.getvalue()
+        assert not np.array_equal(results[0].hidden.counts, results[1].hidden.counts)
 
 
 def _log_cases():
@@ -1067,7 +1106,7 @@ class TestRunLogBlocks:
         # the writer's own memory, beyond the chunk's keys, must not grow
         # with the chunk: one 2^22-run chunk, its keys drawn beforehand
         config = quantum_config(n_runs=2**22, chunk_size=2**22)
-        keys = engine._draw_chunk(config, engine._series_kernel(config), 0, 0, 2**22)
+        keys = engine._draw_chunk(config, engine._series_kernel(config)[0], 0, 0, 2**22)
         monkeypatch.setattr(engine, "_draw_chunk", lambda *task: keys)
         rows = [0]
 

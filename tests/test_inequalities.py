@@ -132,8 +132,7 @@ class TestAlgebraicForms:
     def test_lhs18_boundary_and_antipodal(self):
         d = Direction(0.0, 0.0, 1.0)
         assert lhs18(d, d, d) == pytest.approx(1.0, abs=1e-12)
-        a = Z_AXIS
-        assert lhs18(a, X_AXIS, -a) == pytest.approx(2.0, abs=1e-12)
+        assert lhs18(Z_AXIS, X_AXIS, Direction(0.0, 0.0, -1.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_eq18_equivalent_to_eq7_closed_forms(self, rng):
         # 1 - 4 * (P(a+,b-) + P(b+,c-) - P(a+,c-)) == lhs18, exactly

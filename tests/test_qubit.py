@@ -95,7 +95,7 @@ class TestDirection:
     def test_dot_trivial_cases(self, rng):
         d = random_direction(rng)
         assert dot(d, d) == pytest.approx(1.0, abs=1e-12)
-        assert dot(d, -d) == pytest.approx(-1.0, abs=1e-12)
+        assert dot(d, Direction(-d.x, -d.y, -d.z)) == pytest.approx(-1.0, abs=1e-12)
         assert dot(X_AXIS, Y_AXIS) == 0.0
 
     def test_dot_clamped(self):
