@@ -36,8 +36,6 @@ from .inequalities import (
     eq18_report,
     eval_eq10,
     evaluate_table,
-    lhs16,
-    lhs18,
     two_series_estimate,
 )
 from .lhv import PAIR_MARGINAL_KEYS
@@ -141,11 +139,8 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
     a, b, c = config.directions
     sigma = config.sigma
     ab, bc, ac = dot(a, b), dot(b, c), dot(a, c)
-    reports = [
-        eq16_report(a, b, c, sigma),
-        eq18_report(a, b, c, sigma),
-        InequalityReport("EQ10", ab + bc - ac, 1.0, sigma_threshold=sigma),
-    ]
+    eq16, eq18 = eq16_report(a, b, c, sigma), eq18_report(a, b, c, sigma)
+    reports = [eq16, eq18, InequalityReport("EQ10", ab + bc - ac, 1.0, sigma_threshold=sigma)]
     probs = _exact_pair_probs(config, use_prep)
     triplets = [
         InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
@@ -159,8 +154,8 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
         *_direction_rows(config.directions),
         ("  a.b = {:+.9f}   b.c = {:+.9f}   a.c = {:+.9f}", _DOT_KEYS, (ab, bc, ac)),
         _BLANK,
-        ("lhs16 = {:.15f}", ("closed.lhs16 = ",), (lhs16(a, b, c),)),
-        ("lhs18 = {:.15f}", ("closed.lhs18 = ",), (lhs18(a, b, c),)),
+        ("lhs16 = {:.15f}", ("closed.lhs16 = ",), (eq16.lhs,)),
+        ("lhs18 = {:.15f}", ("closed.lhs18 = ",), (eq18.lhs,)),
         _text("\ninequalities (closed form):"),
         *map(inequality_row, reports),
         _text(f"\npair probabilities from the {source}:"),

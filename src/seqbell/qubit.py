@@ -76,15 +76,12 @@ Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
 def _unit(theta: float, phi: float) -> tuple[float, float, float]:
-    """direction_from_spherical's components, with Direction's renormalization."""
+    """direction_from_spherical's components; Direction keeps them, as they
+    are unit to about 1e-16 for any finite angles."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"angles must be finite, got theta={theta!r}, phi={phi!r}")
     st = math.sin(theta)
-    x, y, z = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > UNIT_ATOL:
-        return x / norm, y / norm, z / norm
-    return x, y, z
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
 def direction_from_spherical(theta: float, phi: float) -> Direction:
@@ -133,14 +130,6 @@ def _azimuth(x, u, v) -> float:
     if tu == 0.0 and tv == 0.0:
         return 0.0
     return math.atan2(tv, tu) % TWO_PI
-
-
-def azimuth_about(x: Direction, e: Direction) -> float:
-    """Azimuth of x around e in e's canonical frame, in [0, 2*pi).
-
-    Zero when x is (anti)parallel to e, where the azimuth is a pure gauge.
-    """
-    return _azimuth((x.x, x.y, x.z), *_frame(e.x, e.y, e.z))
 
 
 @dataclass(frozen=True)
@@ -208,22 +197,14 @@ def bloch_vector(state: PureState) -> np.ndarray:
     return np.array(_bloch(state.s, state.phi, (e.x, e.y, e.z)))
 
 
-def _state_from_components(rx: float, ry: float, rz: float, e: Direction) -> PureState:
-    c = min(1.0, max(-1.0, rx * e.x + ry * e.y + rz * e.z))
-    u, v = _frame(e.x, e.y, e.z)
-    tu = rx * u[0] + ry * u[1] + rz * u[2]
-    tv = rx * v[0] + ry * v[1] + rz * v[2]
-    phi = 0.0 if (tu == 0.0 and tv == 0.0) else math.atan2(tv, tu)
-    return PureState(math.sqrt((1.0 + c) / 2.0), phi % TWO_PI, e)
-
-
 def state_from_bloch(r, e: Direction = Z_AXIS) -> PureState:
-    """Represent the pure state with Bloch vector r against reference e."""
+    """Represent the pure state with Bloch vector r against reference e: the
+    +1 eigenstate of the setting r."""
     r = np.asarray(r, dtype=float)
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r.dot(r))  # np.linalg.norm's steps
     if abs(norm - 1.0) > RENORM_ATOL:
         raise ValueError(f"Bloch vector must be unit, |r| = {norm!r}")
-    return _state_from_components(r[0] / norm, r[1] / norm, r[2] / norm, e)
+    return PureState(*_eigen([v / norm for v in r.tolist()], (e.x, e.y, e.z), True), e)
 
 
 def _eigen(x, e, plus: bool, phase: float | None = None) -> tuple[float, float]:

@@ -123,15 +123,15 @@ def gradient(kind: str, angles) -> np.ndarray:
         points.append((st * cp, st * sp, ct))
         partials += [(ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)]
     a, b, c = points
+    # the partials of lhs with respect to a.b, a.c and b.c
     if kind == "EQ16":
-        ga = [y - z for y, z in zip(b, c)]
-        gb = [x + z for x, z in zip(a, c)]
-        gc = [y - x for x, y in zip(a, b)]
+        d_ab, d_ac, d_bc = 1.0, -1.0, 1.0
     else:
         one_ab, one_bc = (1.0 + v for v in _stacked_dots([a, b], [b, c]).tolist())
-        ga = [y * one_bc - 2.0 * z for y, z in zip(b, c)]
-        gb = [x * one_bc + z * one_ab for x, z in zip(a, c)]
-        gc = [y * one_ab - 2.0 * x for x, y in zip(a, b)]
+        d_ab, d_ac, d_bc = one_bc, -2.0, one_ab
+    ga = [d_ab * y + d_ac * z for y, z in zip(b, c)]
+    gb = [d_ab * x + d_bc * z for x, z in zip(a, c)]
+    gc = [d_ac * x + d_bc * y for x, y in zip(a, b)]
     return _stacked_dots([ga, ga, gb, gb, gc, gc], partials)
 
 
@@ -184,22 +184,18 @@ def local_search(search: SearchConfig, start, rng: np.random.Generator) -> Searc
         g = gradient(kind, x)
         # np.linalg.norm's own steps
         g_norm = math.sqrt(g.dot(g))
-        if g_norm == 0.0:
-            converged = True
-            break
         g = g.tolist()
         step = 0.5
-        accepted = False
+        # step_tolerance > 0, so a zero gradient converges without a draw
         while step * g_norm >= search.step_tolerance:
             candidate = _reseed_poles(_wrap_angles([v + step * d for v, d in zip(x, g)]), rng)
             f_cand = objective(kind, candidate)
             if f_cand > f:
                 x, f = candidate, f_cand
                 trajectory.append(f)
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True
             break
     g = gradient(kind, x)

@@ -14,8 +14,23 @@ from seqbell.cli import main
 from seqbell.config import REPORT_FORMATS, ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
 from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table
-from seqbell.lhv import PAIR_MARGINAL_KEYS, TRIPLE_LABELS, Disturbance, HiddenCountTable, Setting
-from seqbell.qubit import Outcome, PureState, Z_AXIS, direction_from_spherical
+from seqbell.lhv import (
+    PAIR_MARGINAL_KEYS,
+    TRIPLE_LABELS,
+    Disturbance,
+    HiddenCountTable,
+    Setting,
+    TripleDistribution,
+)
+from seqbell.qubit import (
+    Direction,
+    Outcome,
+    PureState,
+    Z_AXIS,
+    direction_from_spherical,
+    eigenstate,
+    overlap,
+)
 from seqbell.reporting import (
     InequalityReport,
     fmt_value,
@@ -23,7 +38,7 @@ from seqbell.reporting import (
     render,
     undefined_report,
 )
-from seqbell.search import SearchConfig
+from seqbell.search import SearchConfig, TripleConfiguration
 
 SQRT2 = math.sqrt(2.0)
 
@@ -206,6 +221,7 @@ CONFIG_ERRORS = [
     ("runs-range", "n_runs = 0", "n_runs must be >= 1, got 0"),
     ("seed-range", "seed = 18446744073709551616",
      "seed must be a non-negative 64-bit integer, got 18446744073709551616"),
+    ("chunk-low", "chunk_size = 0", "chunk_size must be >= 1, got 0"),
     ("chunk-range", "chunk_size = 4194305", "chunk_size must be <= 4194304, got 4194305"),
     ("bad-amplitude", "state.s = 2", "state: amplitude s must lie in [0, 1], got 2.0"),
     ("zero-weights", "model = lhv\n" + _weights_text(lambda label: 0),
@@ -235,6 +251,35 @@ def test_config_error_message_is_pinned(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
     assert str(caught.value) == message
+
+
+# (id, a call, its exception type and full message): input checks that only
+# the Python API reaches
+_X = Direction(1.0, 0.0, 0.0)
+API_ERRORS = [
+    ("no-state", lambda: ProtocolConfig(state=None), ConfigError,
+     "quantum model requires an initial state"),
+    ("no-weights", lambda: ProtocolConfig(model=Model.LHV), ConfigError,
+     "lhv model requires a triple distribution"),
+    ("tuple-direction", lambda: ProtocolConfig(a=(1.0, 0.0, 0.0)), ConfigError,
+     "directions must be three unit vectors (a, b, c)"),
+    ("nan-weights", lambda: TripleDistribution([math.nan] * 8), ValueError, "weights must be finite"),
+    ("count-shape", lambda: HiddenCountTable(np.zeros(7)), ValueError,
+     "expected counts of shape (8,), got (7,)"),
+    ("overlap-frames", lambda: overlap(PureState(1.0, 0.0, Z_AXIS), PureState(1.0, 0.0, _X)),
+     ValueError, "overlap requires both states in the same reference frame"),
+    ("nan-phase", lambda: eigenstate(_X, Outcome.PLUS, Z_AXIS, math.nan), ValueError,
+     "phase must be finite, got nan"),
+    ("angle-count", lambda: TripleConfiguration.from_array([0.0] * 5), ValueError,
+     "expected 6 angles, got shape (5,)"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [pytest.param(*e, id=i) for i, *e in API_ERRORS])
+def test_api_error_message_is_pinned(call, kind, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (kind, message)
 
 
 def _directions():

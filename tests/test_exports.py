@@ -103,6 +103,7 @@ REMOVED = [
     "inequalities.eval_eq4",
     "qubit.Direction.__neg__",
     "engine.EnsembleResult.n_runs",
+    "qubit.azimuth_about",
 ]
 
 # every name README says has moved to inequalities, as its old dotted path

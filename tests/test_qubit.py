@@ -13,7 +13,6 @@ from seqbell.qubit import (
     Z_AXIS,
     _frame,
     amplitudes,
-    azimuth_about,
     bloch_vector,
     born_prob,
     direction_from_spherical,
@@ -71,6 +70,18 @@ class TestDirection:
                 assert [v.hex() for v in (d.x, d.y, d.z)] == [
                     v.hex() for v in (plain.x, plain.y, plain.z)
                 ], (theta, phi)
+
+    def test_unit_components_are_unit_without_renormalizing(self):
+        # multiples of pi/2, random angles, and angles up to +-1e300
+        values = [k * math.pi / 2 for k in range(-8, 9)]
+        values += [sign * 10.0**k for k in (3, 10, 100, 200, 300) for sign in (1, -1)]
+        values += np.random.default_rng(2501).uniform(-50.0, 50.0, 30).tolist()
+        for theta in values:
+            for phi in values:
+                x, y, z = qubit._unit(theta, phi)
+                d = direction_from_spherical(theta, phi)
+                assert [v.hex() for v in (d.x, d.y, d.z)] == [v.hex() for v in (x, y, z)]
+                assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-15, (theta, phi)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -224,9 +235,23 @@ class TestFrameCovariance:
             assert np.max(np.abs(np.cross(u, v) - e.as_array())) < 1e-12
 
     def test_azimuth_of_x_about_z(self):
-        assert azimuth_about(X_AXIS, Z_AXIS) == 0.0
-        assert azimuth_about(Y_AXIS, Z_AXIS) == pytest.approx(math.pi / 2, abs=1e-12)
-        assert azimuth_about(Z_AXIS, Z_AXIS) == 0.0
+        assert eigenstate(X_AXIS, Outcome.PLUS, Z_AXIS).phi == 0.0
+        assert eigenstate(Y_AXIS, Outcome.PLUS, Z_AXIS).phi == pytest.approx(math.pi / 2, abs=1e-12)
+        assert eigenstate(Z_AXIS, Outcome.PLUS, Z_AXIS).phi == 0.0
+
+    def test_state_from_bloch_is_the_plus_eigenstate(self, rng):
+        # r off unit by up to 1e-10, so state_from_bloch's normalization is used
+        pairs = []
+        for _ in range(500):
+            r, e = random_direction(rng), random_direction(rng)
+            pairs += [(r.as_array() * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0)), e)]
+            pairs += [(e.as_array(), e), (-e.as_array(), e)]
+        axes = [X_AXIS, Y_AXIS, Z_AXIS]
+        axes += [Direction(-d.x, -d.y, -d.z) for d in axes]
+        pairs += [(r.as_array(), e) for r in axes for e in axes]
+        for r, e in pairs:
+            unit = Direction(*(r / np.linalg.norm(r)).tolist())
+            assert state_from_bloch(r, e) == eigenstate(unit, Outcome.PLUS, e), (r, e)
 
 
 class TestCollapse:

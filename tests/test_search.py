@@ -141,6 +141,18 @@ class TestLocalSearch:
         result = maximize(config)
         assert result.gradient_norm <= 1e-6
 
+    @pytest.mark.parametrize("kind", ["EQ16", "EQ18"])
+    def test_zero_gradient_stops_at_once(self, kind):
+        # all three directions at the north pole: every partial is exactly zero
+        angles = [0.0, 0.3, 0.0, 1.0, 0.0, 2.0]
+        assert objective(kind, angles) == 1.0
+        assert gradient(kind, angles).tolist() == [0.0] * 6
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        result = local_search(SearchConfig(objective=kind), angles, rng)
+        assert (result.converged, result.trajectory, result.gradient_norm) == (True, (1.0,), 0.0)
+        assert rng.bit_generator.state == state
+
     def test_converged_flag(self):
         starved = SearchConfig(objective="EQ16", n_starts=1, max_iterations=2, seed=0)
         assert not maximize(starved).converged
