@@ -6,7 +6,7 @@ quantum model or the deterministic joint-reality model.  Outcomes land in
 a 9 x 4 count table; for the hidden-variable model the joint reality in
 force between the two measurements is also tallied per run.  `cell_law`
 gives the exact probability of every cell of that table.  The samplers are
-tested against it, and the quantum sampler's thresholds are its cells' factors.
+tested against it, and the quantum sampler ranks its draws among its factors.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i); chunk tallies of the run keys add up,
@@ -37,6 +37,7 @@ from .lhv import (
     SETTINGS,
     TRIPLE_COMPONENTS,
     TripleDistribution,
+    add_ranks,
     sample_triple_indices,
 )
 from .qubit import (
@@ -224,8 +225,7 @@ def _quantum_factors(config: ProtocolConfig):
 # each cell's indices into the two factor lists of _quantum_factors
 _FACTORS = [(2 * x + (sx < 0), 9 * (sx != sy) + 3 * x + y) for x, y, sx, sy in _CELLS]
 
-# the count-table cell of each run key; an lhv key is t * 9 + 3 * x + y (reality, settings)
-_QUANTUM_CELLS = np.arange(36)
+# the count-table cell of each lhv run key t * 9 + 3 * x + y (reality, settings)
 _LHV_CELLS = np.array(
     [_CELL_INDEX[x, t[x], y, t[y]] for t in TRIPLE_COMPONENTS.tolist() for x in SETTINGS for y in SETTINGS],
     dtype=np.int8,
@@ -252,33 +252,17 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
     return law.reshape(3, 3, 2, 2)
 
 
-# The samplers return each run's key, computed in place on int8 buffers.  A
-# quantum key is the run's cell, 4 * (3 * first + second) + 2 * minus1 +
-# minus2, where a minus bit is set when that outcome is -1; an lhv key also
-# carries the reality and maps to its cell through _LHV_CELLS.  They draw
-# the same values in the same order as the explicit formulation the tests
-# keep as their reference, so every count and run log is the same bit for bit.
-#
-# No float64 or int64 temporary of a whole chunk lives next to another one:
-# settings are made int8 from their raw words at once, the second uniforms
-# reuse the first ones' buffer, and the thresholds are gathered in blocks of
-# 64 KB.  Otherwise the allocator trims and re-faults the freed temporaries
-# on every chunk (serial quantum free ensemble of 10^7 runs, 2-CPU host:
-# about 41k minor faults and 41 ns/run with whole-chunk gathers, none and
-# 33 ns/run with blocked ones).
-
-_GATHER_BLOCK = 8192
-
-
-def _at_least(u: np.ndarray, thresholds: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """u >= thresholds[index] as int8 0/1, gathered one block of runs at a time."""
-    out = np.empty(len(u), dtype=bool)
-    for start in range(0, len(u), _GATHER_BLOCK):
-        block = slice(start, start + _GATHER_BLOCK)
-        # np.take: about half the time of indexing with an int8 array
-        np.greater_equal(u[block], np.take(thresholds, index[block]), out=out[block])
-    return out.view(np.int8)  # int8 arithmetic on it needs no cast from bool
-
+# The samplers return each run's key, computed in place on int8 buffers, and
+# the series' key table maps it to its cell.  add_ranks ranks each uniform u
+# among the law's distinct thresholds inside (0, 1): u >= t when that rank
+# reaches t's place, and the table decides thresholds <= 0 and >= 1.  A
+# quantum key is ((3 * first + second) * (n1 + 1) + rank1) * (n2 + 1) + rank2.
+# A qubit has n1 <= 3 first thresholds and n2 <= 6 second ones, (1 +- x.y)/2
+# of the three off-diagonal dots (x.x is exactly 1), so keys are below
+# 9 * 4 * 7 = 252, read as uint8 from the wrapping int8 buffer (asymmetric
+# second factors would give n2 <= 18: 684 keys).  An lhv key is 9 * reality +
+# 3 * first + second.  The draws are those of the tests' explicit reference,
+# in its order, so every count and run log is the same bit for bit.
 
 # numpy's rng.integers(0, 3) maps a 32-bit word w to (3 * w) >> 32, which is
 # (w >= 1431655766) + (w >= 2863311531), and redraws only w = 0 (Lemire's
@@ -299,23 +283,16 @@ def _draw_settings(rng: np.random.Generator, n: int):
     return settings[:n], settings[n:]
 
 
-def _quantum_chunk(p_first: np.ndarray, p_second: np.ndarray, n: int, rng: np.random.Generator):
-    first, second = _draw_settings(rng, n)
+def _quantum_chunk(edges1, edges2, n: int, rng: np.random.Generator):
+    key, second = _draw_settings(rng, n)
+    key *= 3
+    key += second
+    key *= len(edges1) + 1
     u = rng.random(n)
-    minus1 = _at_least(u, p_first, first)
-    pair = first
-    pair *= 3
-    pair += second
-    row = np.multiply(minus1, np.int8(9), out=second)
-    row += pair
-    rng.random(out=u)
-    minus2 = _at_least(u, p_second, row)
-    cell = pair
-    cell *= 2
-    cell += minus1
-    cell *= 2
-    cell += minus2
-    return cell
+    add_ranks(key, u, edges1)
+    key *= len(edges2) + 1
+    add_ranks(key, rng.random(out=u), edges2)
+    return key.view(np.uint8)
 
 
 def _lhv_chunk(dist: TripleDistribution, n: int, rng: np.random.Generator):
@@ -338,9 +315,17 @@ def _series_kernel(config: ProtocolConfig):
     if config.model is Model.LHV:
         return partial(_lhv_chunk, config.run_dist), _LHV_CELLS
     # P(+1) of the first outcome per setting, of the second per run row
-    # 9 * minus1 + 3 * first + second: cell_law's own factors
+    # 9 * minus1 + 3 * first + second: cell_law's own factors.  A rank's
+    # lowest uniform (0.0, then each edge) meets every factor as all of that
+    # rank's uniforms do, so it gives the minus bits of each key
     born, second = _quantum_factors(config)
-    return partial(_quantum_chunk, np.array(born[::2]), np.array(second)), _QUANTUM_CELLS
+    edges = [sorted({t for t in ts if 0.0 < t < 1.0}) for ts in (born[::2], second)]
+    low1, low2 = (np.array([0.0, *e]) for e in edges)
+    pairs = np.arange(9)[:, None]
+    minus1 = low1 >= np.array(born[::2])[pairs // 3]
+    minus2 = low2 >= np.array(second)[9 * minus1 + pairs][..., None]
+    cells = ((4 * pairs + 2 * minus1)[..., None] + minus2).astype(np.int8).ravel()
+    return partial(_quantum_chunk, *edges), cells
 
 
 def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):

@@ -94,7 +94,8 @@ class TripleDistribution:
             raise ValueError("weights must have positive total mass")
         w = w / total
         cum = np.cumsum(w)
-        cum[-1] = 1.0
+        # 1.0 from the last positive weight on: no u < 1 reaches a zero weight
+        cum[np.flatnonzero(w)[-1] :] = 1.0
         self.__setstate__({"weights": w, "_cum": cum})
 
     def __setstate__(self, state):
@@ -114,19 +115,27 @@ class TripleDistribution:
         return TripleDistribution(w)
 
 
+def add_ranks(acc: np.ndarray, u: np.ndarray, edges) -> np.ndarray:
+    """Add to int8 acc the count of the non-decreasing edges <= each u: one
+    compare-and-add per edge through one bool buffer, up to an edge >= 1."""
+    hit = np.empty(len(u), dtype=bool)
+    for edge in edges:
+        if edge >= 1.0:
+            break
+        acc += np.greater_equal(u, edge, out=hit).view(np.int8)
+    return acc
+
+
 def sample_triple_indices(dist: TripleDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n joint realities at once, as indices into TRIPLE_LABELS.
 
     The index of a uniform u is the number of cumulative weights before the
     last that are <= u.  That is searchsorted(cum, u, side="right") capped
-    at 7, since cum[:7] is non-decreasing and cum[7] is 1.0 > u.  Seven int8
-    compare-and-adds cost about a tenth of that binary search per run.
+    at 7, since cum[:7] is non-decreasing and cum[7] is 1.0 > u.  The int8
+    compare-and-adds of add_ranks cost about a tenth of that binary search
+    per run.
     """
-    u = rng.random(n)
-    idx = np.zeros(n, dtype=np.int8)
-    for edge in dist._cum[:7]:
-        idx += (u >= edge).view(np.int8)
-    return idx
+    return add_ranks(np.zeros(n, dtype=np.int8), rng.random(n), dist._cum[:7].tolist())
 
 
 @dataclass(frozen=True)

@@ -202,8 +202,8 @@ def state_from_bloch(r, e: Direction = Z_AXIS) -> PureState:
     +1 eigenstate of the setting r."""
     r = np.asarray(r, dtype=float)
     norm = math.sqrt(r.dot(r))  # np.linalg.norm's steps
-    if abs(norm - 1.0) > RENORM_ATOL:
-        raise ValueError(f"Bloch vector must be unit, |r| = {norm!r}")
+    if not abs(norm - 1.0) <= RENORM_ATOL:  # a NaN component fails here too
+        raise ValueError(f"Bloch vector must be finite and unit, |r| = {norm!r}")
     return PureState(*_eigen([v / norm for v in r.tolist()], (e.x, e.y, e.z), True), e)
 
 

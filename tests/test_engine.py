@@ -53,6 +53,7 @@ from seqbell.qubit import (
     Z_AXIS,
     bloch_vector,
     born_prob,
+    direction_from_spherical,
     dot,
     random_direction,
     random_state,
@@ -420,18 +421,32 @@ def chunk_cells(config, series, chunk_index, size):
     each run's cell and, for the lhv model, its reality, both read off the
     run keys; and the generator after the draw."""
     rng = engine._chunk_rng(config.seed, series, chunk_index)
-    key = engine._series_kernel(config)[0](size, rng)
-    if config.model is Model.QUANTUM:
-        return key, None, rng
-    return engine._LHV_CELLS[key], key // 9, rng
+    kernel, cells = engine._series_kernel(config)
+    key = kernel(size, rng)
+    return cells[key], (key // 9 if config.model is Model.LHV else None), rng
+
+
+def _rank_cases():
+    """Quantum configs at the edges of the rank form: the bench's prepared
+    template, whose prepared P(x^s) is an ulp off 0 and 1 so that it has 3
+    first and 6 second thresholds inside (0, 1) and 252 keys; and the
+    reference directions, whose orthogonal b and c tie (1 +- b.c)/2 at 0.5."""
+    dirs = [direction_from_spherical(t, p) for t, p in ((0.3, 0.1), (1.2, 2.0), (2.5, 4.0))]
+    at_bound = quantum_config(directions=dirs, mode=Mode.PREPARED, prep_setting=B, prep_sign=MINUS)
+    tied = quantum_config(directions=(engine.DEFAULT_A, engine.DEFAULT_B, engine.DEFAULT_C))
+    return [at_bound, tied]
 
 
 class TestChunkKernels:
     @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.QUANTUM])
     def test_quantum_thresholds_are_the_laws_factors(self, config):
-        # the kernel draws from cell_law's own numbers: its thresholds are
-        # the factors of the law's cells, to the bit
-        p_first, p_second = engine._series_kernel(config)[0].args
+        # the kernel ranks its uniforms among cell_law's own numbers: its
+        # edges are the law's factors strictly inside (0, 1), sorted and
+        # distinct, to the bit
+        born, second = engine._quantum_factors(config)
+        edges = engine._series_kernel(config)[0].args
+        assert edges == tuple(sorted({f for f in fs if 0.0 < f < 1.0}) for fs in (born[::2], second))
+        p_first, p_second = np.array(born[::2]), np.array(second)
         expected_first, expected_second = law_factors(config)
         assert p_first.tobytes() == expected_first.tobytes()
         assert p_second.tobytes() == expected_second.tobytes()
@@ -445,18 +460,30 @@ class TestChunkKernels:
         for _ in range(200):
             dirs = tuple(random_direction(rng) for _ in range(3))
             state = random_state(rng, random_direction(rng))
-            _, p_second = engine._series_kernel(quantum_config(directions=dirs, state=state))[0].args
-            assert p_second[[0, 4, 8]].tolist() == [1.0] * 3
-            assert p_second[[9, 13, 17]].tolist() == [0.0] * 3
+            _, second = engine._quantum_factors(quantum_config(directions=dirs, state=state))
+            assert [second[i] for i in (0, 4, 8)] == [1.0] * 3
+            assert [second[i] for i in (9, 13, 17)] == [0.0] * 3
             for x, s in itertools.product(dirs, OUTCOMES):
                 assert quantum_pair_prob(state, x, s, x, s.flipped()) == 0.0
 
-    @pytest.mark.parametrize("config", _oracle_cases())
+    def test_keys_fit_uint8_at_the_bound(self):
+        # a qubit law has at most 3 first and 6 second thresholds inside
+        # (0, 1): keys below 9 * 4 * 7 = 252, read as uint8 past 127
+        config = _rank_cases()[0]
+        kernel, cells = engine._series_kernel(config)
+        assert [len(edges) for edges in kernel.args] == [3, 6]
+        assert len(cells) == 252
+        keys = kernel(4099, engine._chunk_rng(config.seed, 0, 0))
+        assert keys.dtype == np.uint8
+        assert 127 < keys.max() < 252
+        # the tied case: one first threshold (0.5 thrice) and three second
+        assert [len(edges) for edges in engine._series_kernel(_rank_cases()[1])[0].args] == [1, 3]
+
+    @pytest.mark.parametrize("config", _oracle_cases() + _rank_cases())
     def test_match_reference_bit_for_bit(self, config):
         for seed, series, chunk_index in ((0, 0, 0), (7, 1, 3), (2**64 - 1, 0, 152587)):
             config = replace(config, seed=seed)
-            # the last size spans three blocks of the threshold gathers
-            for size in (1, 2, 7, 4099, 2 * engine._GATHER_BLOCK + 5):
+            for size in (1, 2, 7, 4099, 16389):
                 cell, triples, rng = chunk_cells(config, series, chunk_index, size)
                 ref_cell, ref_triples, ref_rng = reference_chunk_cells(config, series, chunk_index, size)
                 assert cell.dtype == ref_cell.dtype
@@ -1031,13 +1058,13 @@ def reference_run_log(result, fileobj):
     )
     head = f",{config.mode.value},{config.model.value},{prep},"
     tails = [f"{head}{x.name},{int(sx):+d},{y.name},{int(sy):+d}\n" for x, y, sx, sy in engine._CELLS]
-    if config.model is Model.LHV:
-        tails = [tails[cell] for cell in engine._LHV_CELLS]
+    kernel, cells = engine._series_kernel(config)
+    tails = [tails[cell] for cell in cells]
     fileobj.write(
         "run_id,mode,model,prep_setting,prep_sign,"
         "first_setting,first_outcome,second_setting,second_outcome\n"
     )
-    (kernel, _), start = engine._series_kernel(config), 0
+    start = 0
     for i, size in enumerate(engine._chunk_plan(config.n_runs, config.chunk_size)):
         keys = engine._draw_chunk(config, kernel, result.series, i, size).tolist()
         run_ids = map(str, range(start, start + size))

@@ -96,17 +96,32 @@ class TestTripleDistribution:
 
     def test_draws_match_binary_search(self):
         # the running sum of these normalized weights passes 1.0 before the
-        # last, zero, weight, whose edge is pinned to 1.0: the edges are then
-        # not sorted, and each draw must still be searchsorted's
+        # last, zero, weight; the edges are pinned to 1.0 from the last
+        # positive weight on, and each draw must still be searchsorted's
         w = np.random.default_rng(0).random(8)
         w[7] = 0.0
         dist = TripleDistribution(w)
-        assert dist._cum[6] > dist._cum[7] == 1.0
+        assert np.cumsum(dist.weights)[6] > 1.0
+        assert dist._cum[6:].tolist() == [1.0, 1.0]
         for seed in range(3):
             u = np.random.default_rng(seed).random(10**5)
             expected = np.minimum(np.searchsorted(dist._cum, u, side="right"), 7).astype(np.int8)
             drawn = sample_triple_indices(dist, 10**5, np.random.default_rng(seed))
             assert drawn.tobytes() == expected.tobytes()
+
+    def test_edges_are_one_from_the_last_positive_weight(self):
+        # a running sum can end a few ulps below 1 at the last positive
+        # weight; a u in that gap would draw a zero-weight reality after it
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            w = rng.random(8) * (rng.random(8) < 0.7)
+            w[rng.integers(8)] += 0.1
+            setting = Setting(int(rng.integers(3)))
+            sign = Outcome(int(TRIPLE_COMPONENTS[int(np.argmax(w)), setting]))
+            dist = TripleDistribution(w)
+            for d in (dist, dist.condition(setting, sign)):
+                last = np.flatnonzero(d.weights)[-1]
+                assert d._cum[last:].tolist() == [1.0] * (8 - last)
 
     def test_normalization_and_validation(self):
         dist = TripleDistribution(np.full(8, 3.0))

@@ -322,8 +322,11 @@ class TestPureStateValidation:
         assert PureState(0.5, psi.phi, Z_AXIS) == psi
 
     def test_state_from_bloch_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            state_from_bloch(np.array([0.5, 0.0, 0.0]))
+        # a NaN norm compares false with everything: it must still be refused
+        # here, as a Bloch vector, not later by PureState
+        for r in ([0.5, 0.0, 0.0], [math.nan, 0.0, 0.0], [1.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0, -math.inf]):
+            with pytest.raises(ValueError, match="Bloch vector"):
+                state_from_bloch(np.array(r))
 
 
 class TestUniformDraw:
