@@ -428,9 +428,10 @@ def chunk_cells(config, series, chunk_index, size):
 
 def _rank_cases():
     """Quantum configs at the edges of the rank form: the bench's prepared
-    template, whose prepared P(x^s) is an ulp off 0 and 1 so that it has 3
-    first and 6 second thresholds inside (0, 1) and 252 keys; and the
-    reference directions, whose orthogonal b and c tie (1 +- b.c)/2 at 0.5."""
+    template, whose prepared P(x^s) is an ulp off 0 and 1, so that it has a
+    first threshold at 5.6e-17 and all 3 first and 6 second thresholds
+    inside (0, 1), 252 keys; and the reference directions, whose
+    orthogonal b and c tie (1 +- b.c)/2 at 0.5."""
     dirs = [direction_from_spherical(t, p) for t, p in ((0.3, 0.1), (1.2, 2.0), (2.5, 4.0))]
     at_bound = quantum_config(directions=dirs, mode=Mode.PREPARED, prep_setting=B, prep_sign=MINUS)
     tied = quantum_config(directions=(engine.DEFAULT_A, engine.DEFAULT_B, engine.DEFAULT_C))
@@ -469,13 +470,13 @@ class TestChunkKernels:
     def test_keys_fit_uint8_at_the_bound(self):
         # a qubit law has at most 3 first and 6 second thresholds inside
         # (0, 1): keys below 9 * 4 * 7 = 252, read as uint8 past 127
-        config = _rank_cases()[0]
-        kernel, cells = engine._series_kernel(config)
-        assert [len(edges) for edges in kernel.args] == [3, 6]
-        assert len(cells) == 252
-        keys = kernel(4099, engine._chunk_rng(config.seed, 0, 0))
-        assert keys.dtype == np.uint8
-        assert 127 < keys.max() < 252
+        for config in (_oracle_cases()[0], _rank_cases()[0]):
+            kernel, cells = engine._series_kernel(config)
+            assert [len(edges) for edges in kernel.args] == [3, 6]
+            assert len(cells) == 252
+            keys = kernel(4099, engine._chunk_rng(config.seed, 0, 0))
+            assert keys.dtype == np.uint8
+            assert 127 < keys.max() < 252
         # the tied case: one first threshold (0.5 thrice) and three second
         assert [len(edges) for edges in engine._series_kernel(_rank_cases()[1])[0].args] == [1, 3]
 
