@@ -11,18 +11,18 @@ tested against it, and the quantum sampler ranks its draws among its factors.
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i); chunk tallies of the run keys add up,
 and each series folds the sum once through its model's table from keys to
-count cells, so results are bit-identical for any worker count.  Chunks run on threads:
-the vectorized samplers spend their time in numpy, which releases the GIL.
-Only the count tables are kept: the run log regenerates each chunk's runs
-from its own stream, one chunk at a time.
+count cells, so results are bit-identical for any worker count.  Each thread
+tallies its own share of the chunks: the samplers run in numpy, which releases
+the GIL, but np.bincount's counting loop holds it.  Only the count tables are
+kept: the run log regenerates each chunk's runs from its stream, one at a time.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -333,11 +333,6 @@ def _draw_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, s
     return kernel(size, _chunk_rng(config.seed, series, chunk_index))
 
 
-def _run_chunk(config: ProtocolConfig, kernel, series: int, chunk_index: int, size: int):
-    """One chunk's tally of its run keys, up to the largest key drawn."""
-    return np.bincount(_draw_chunk(config, kernel, series, chunk_index, size))
-
-
 def _chunk_plan(n_runs: int, chunk_size: int):
     """Yield the run count of each chunk in turn: the plan is never built,
     whatever n_runs is."""
@@ -363,38 +358,38 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# chunks submitted to the pool and not yet merged, per worker: enough to keep
-# every worker fed, few enough that memory does not grow with n_runs
-_IN_FLIGHT_PER_WORKER = 4
-
-
-def _chunk_tables(config: ProtocolConfig, kernel, series: int, workers: int):
-    """Yield the key tally of each chunk of one series, in chunk order."""
-    plan = _chunk_plan(config.n_runs, config.chunk_size)
-    tasks = ((config, kernel, series, i, size) for i, size in enumerate(plan))
-    n_chunks = -(-config.n_runs // config.chunk_size)
-    # more threads than chunks or CPUs would only wait
-    pool_size = min(workers, n_chunks, _usable_cpus())
-    if pool_size <= 1:
-        yield from itertools.starmap(_run_chunk, tasks)
-        return
-    # Executor.map would submit every chunk up front: refill a bounded queue
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        pending = collections.deque()
-        for task in tasks:
-            if len(pending) == _IN_FLIGHT_PER_WORKER * pool_size:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_run_chunk, *task))
-        while pending:
-            yield pending.popleft().result()
+def _share_tally(config: ProtocolConfig, kernel, n_keys: int, series: int, stop, first: int, step: int):
+    """Tally chunks first, first + step, ... of a series until `stop` is set; set it on failure."""
+    tally = np.zeros(n_keys, dtype=np.int64)
+    plan = enumerate(_chunk_plan(config.n_runs, config.chunk_size))
+    try:
+        for i, size in itertools.islice(plan, first, None, step):
+            if stop.is_set():
+                break
+            tally += np.bincount(_draw_chunk(config, kernel, series, i, size), minlength=n_keys)
+    except BaseException:
+        stop.set()
+        raise
+    return tally
 
 
 def _generate_series(config: ProtocolConfig, kernel, cells, series: int, workers: int):
-    """One series' key tally, folded once into its 36 cell counts and, for
-    the lhv model, its 8 reality counts."""
-    tally = np.zeros(len(cells), dtype=np.int64)
-    for chunk in _chunk_tables(config, kernel, series, workers):
-        tally[: len(chunk)] += chunk
+    """One series' key tally, summed over one share of its chunks per worker, folded
+    once into its 36 cell counts and, for the lhv model, its 8 reality counts."""
+    # more threads than chunks or CPUs would only wait
+    pool_size = max(1, min(workers, -(-config.n_runs // config.chunk_size), _usable_cpus()))
+    stop = threading.Event()
+    share_tally = partial(_share_tally, config, kernel, len(cells), series, stop, step=pool_size)
+    if pool_size == 1:
+        tally = share_tally(0)
+    else:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            futures = [pool.submit(share_tally, w) for w in range(pool_size)]
+            try:
+                tally = sum(future.result() for future in futures)
+            finally:
+                # on a failure or an interrupt here, the workers stop within a chunk
+                stop.set()
     counts = np.zeros(36, dtype=np.int64)
     np.add.at(counts, cells, tally)
     hidden = HiddenCountTable(tally.reshape(8, 9).sum(1)) if config.model is Model.LHV else None

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 DEFAULT_SIGMA = 5.0
 
 
@@ -76,10 +78,10 @@ def fmt_value(value) -> str:
     text = _TEXT.get(type(value))
     if text is not None:
         return text(value)
+    if isinstance(value, np.generic):  # a numpy scalar reads as its Python value
+        return fmt_value(value.item())
     if isinstance(value, Enum):
         return str(value.value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

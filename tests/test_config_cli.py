@@ -918,10 +918,14 @@ def tabular_from_structured(text):
 
 class TestReportFormatting:
     def test_fmt_value_matches_isinstance_chain(self):
-        values = [0.1, 1e-300, math.nan, -math.inf, 3, -7, 2**70, True, False, np.float64(0.5)]
-        values += [np.int64(4), np.True_, Mode.FREE, Setting.B, Outcome.MINUS, "text", None]
+        values = [0.1, 1e-300, math.nan, -math.inf, 3, -7, 2**70, True, False]
+        values += [Mode.FREE, Setting.B, Outcome.MINUS, "text", None]
         for value in values:
             assert fmt_value(value) == reference_fmt_value(value)
+        # a numpy scalar reads as its Python value
+        for value in [np.float64(0.5), np.float32(0.1), np.int64(4), np.True_, np.False_]:
+            assert fmt_value(value) == reference_fmt_value(value.item())
+        assert [fmt_value(np.float64(0.5)), fmt_value(np.True_)] == ["0.5", "true"]
 
     def test_lhv_report_lines_as_written_line_by_line(self):
         config = ExperimentConfig(report_format="structured")

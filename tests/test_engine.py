@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -554,13 +555,13 @@ class TestThreadPool:
         two = quantum_config(mode=Mode.TWO_SERIES, n_runs=5000, seed=4, chunk_size=512)
         serial = [run_ensemble(free), *run_two_series(two)]
         threads = set()
-        run_chunk = engine._run_chunk
+        draw_chunk = engine._draw_chunk
 
         def recording(*task):
             threads.add(threading.get_ident())
-            return run_chunk(*task)
+            return draw_chunk(*task)
 
-        monkeypatch.setattr(engine, "_run_chunk", recording)
+        monkeypatch.setattr(engine, "_draw_chunk", recording)
         pooled = [run_ensemble(free, workers=2), *run_two_series(two, workers=2)]
         _assert_same_tables(pooled, serial)
         assert threads - {threading.get_ident()}
@@ -582,6 +583,25 @@ class TestThreadPool:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert done.stdout.strip() == "[]"
+
+    def test_failing_worker_stops_the_others_within_a_chunk(self, monkeypatch):
+        # two real workers over 200 chunks; chunk 3, the second of worker 1's
+        # share, fails while worker 0 would still have about 100 to go
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        draw_chunk, lock, calls = engine._draw_chunk, threading.Lock(), [0]
+
+        def failing(config, kernel, series, chunk_index, size):
+            with lock:
+                calls[0] += 1
+            if chunk_index == 3:
+                raise RuntimeError("chunk 3 failed")
+            time.sleep(0.002)  # lets the other worker take its next chunk meanwhile
+            return draw_chunk(config, kernel, series, chunk_index, size)
+
+        monkeypatch.setattr(engine, "_draw_chunk", failing)
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            run_ensemble(quantum_config(n_runs=200 * 50, chunk_size=50), workers=2)
+        assert 2 <= calls[0] <= 20
 
     @pytest.mark.parametrize(
         "config",
@@ -691,7 +711,8 @@ class TestRunEnsemble:
 
     def test_chunk_plan_is_never_built(self, monkeypatch):
         # 10^10 runs are 152 588 default chunks: nothing may grow with that count
-        monkeypatch.setattr(engine, "_run_chunk", lambda *task: np.zeros(36, np.int64))
+        no_keys = np.zeros(0, np.uint8)
+        monkeypatch.setattr(engine, "_draw_chunk", lambda *task: no_keys)
         config = quantum_config(n_runs=10**10)
         tracemalloc.start()
         try:
