@@ -5,8 +5,8 @@ performs two back-to-back measurements on one system under either the
 quantum model or the deterministic joint-reality model.  Outcomes land in
 a 9 x 4 count table; for the hidden-variable model the joint reality in
 force between the two measurements is also tallied per run.  `cell_law`
-gives the exact probability of every cell of that table.  The samplers are
-tested against it, and the quantum sampler ranks its draws among its factors.
+gives the exact probability of every cell; a quantum cell is the product of two
+entries of a two-step law table, and the quantum sampler ranks draws among them.
 
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i); chunk tallies of the run keys add up,
@@ -206,24 +206,19 @@ def _chunk_rng(seed: int, series: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(series, chunk_index)))
 
 
-def _quantum_factors(config: ProtocolConfig):
-    """The two factors of every quantum cell, with quantum_pair_prob's float
-    steps: P(x^s) of the state the runs start from at born[2x + i], and
-    (1 + s x.y)/2 at second[9i + 3x + y], with i = 0 for s = +1 and 1 for
-    s = -1.  Cell (x, y, sx, sy) is P(x^sx) times the second factor of
-    s = sx * sy."""
+def _quantum_law(config: ProtocolConfig):
+    """The quantum law as a two-step table in quantum_pair_prob's float steps:
+    first[x][i] = P(x^s) of the state the runs start from, second[x][i][y][j] =
+    (1 + s t x.y)/2, with i, j = 0 for s, t = +1 and 1 for -1: s = -1 swaps t."""
     dirs, state = config.directions, config.state
     if config.mode is Mode.PREPARED:
         state = state_from_bloch(int(config.prep_sign) * dirs[config.prep_setting].as_array())
     v = [(d.x, d.y, d.z) for d in (*dirs, state.e)]
     r = _bloch(state.s, state.phi, v[3])
-    born = [_born(r, v[x], s) for x in range(3) for s in (1, -1)]
-    dots = [_dot(v[x], v[y]) for x in range(3) for y in range(3)]
-    return born, [0.5 * (1.0 + s * d) for s in (1, -1) for d in dots]
+    first = [(_born(r, x, 1), _born(r, x, -1)) for x in v[:3]]
+    plus = [[(0.5 * (1.0 + d), 0.5 * (1.0 - d)) for d in [_dot(x, y) for y in v[:3]]] for x in v[:3]]
+    return first, [(pairs, [(m, p) for p, m in pairs]) for pairs in plus]
 
-
-# each cell's indices into the two factor lists of _quantum_factors
-_FACTORS = [(2 * x + (sx < 0), 9 * (sx != sy) + 3 * x + y) for x, y, sx, sy in _CELLS]
 
 # the count-table cell of each lhv run key t * 9 + 3 * x + y (reality, settings)
 _LHV_CELLS = np.array(
@@ -247,22 +242,23 @@ def cell_law(config: ProtocolConfig) -> np.ndarray:
         law = np.zeros(36)
         np.add.at(law, _LHV_CELLS, np.repeat(config.run_dist.weights, 9))
     else:
-        born, second = _quantum_factors(config)
-        law = np.array([born[i] * second[j] for i, j in _FACTORS])
+        first, second = _quantum_law(config)
+        axes = itertools.product(range(3), range(3), (0, 1), (0, 1))  # (x, y, i, j) in C order
+        law = np.array([first[x][i] * second[x][i][y][j] for x, y, i, j in axes])
     return law.reshape(3, 3, 2, 2)
 
 
 # The samplers return each run's key, computed in place on int8 buffers, and
 # the series' key table maps it to its cell.  add_ranks ranks each uniform u
 # among the law's distinct thresholds inside (0, 1): u >= t when that rank
-# reaches t's place, and the table decides thresholds <= 0 and >= 1.  A
-# quantum key is ((3 * first + second) * (n1 + 1) + rank1) * (n2 + 1) + rank2.
-# A qubit has n1 <= 3 first thresholds and n2 <= 6 second ones, (1 +- x.y)/2
-# of the three off-diagonal dots (x.x is exactly 1), so keys are below
-# 9 * 4 * 7 = 252, read as uint8 from the wrapping int8 buffer (asymmetric
-# second factors would give n2 <= 18: 684 keys).  An lhv key is 9 * reality +
-# 3 * first + second.  The draws are those of the tests' explicit reference,
-# in its order, so every count and run log is the same bit for bit.
+# reaches t's place, and the table decides thresholds <= 0 and >= 1, so a
+# rank's lowest uniform (0.0, then each edge) gives the minus bits of its key.
+# A quantum key is ((3 * first + second) * (n1 + 1) + rank1) * (n2 + 1) + rank2
+# over n1 distinct first[x][0] and n2 second[x][i][y][0]: at most 256 keys, read
+# as uint8 from the wrapping int8 buffer.  A qubit has n1 <= 3 and n2 <= 6, the
+# (1 +- x.y)/2 of three off-diagonal dots (x.x is 1): 252 keys.  An lhv key is
+# 9 * reality + 3 * first + second.  The draws are those of the tests' explicit
+# reference, in its order, so every count and run log is the same bit for bit.
 
 # numpy's rng.integers(0, 3) maps a 32-bit word w to (3 * w) >> 32, which is
 # (w >= 1431655766) + (w >= 2863311531), and redraws only w = 0 (Lemire's
@@ -314,17 +310,22 @@ def _series_kernel(config: ProtocolConfig):
     """
     if config.model is Model.LHV:
         return partial(_lhv_chunk, config.run_dist), _LHV_CELLS
-    # P(+1) of the first outcome per setting, of the second per run row
-    # 9 * minus1 + 3 * first + second: cell_law's own factors.  A rank's
-    # lowest uniform (0.0, then each edge) meets every factor as all of that
-    # rank's uniforms do, so it gives the minus bits of each key
-    born, second = _quantum_factors(config)
-    edges = [sorted({t for t in ts if 0.0 < t < 1.0}) for ts in (born[::2], second)]
+    return _table_kernel(*_quantum_law(config))
+
+
+def _table_kernel(first, second):
+    """The chunk kernel of a two-step law table laid out as _quantum_law's,
+    and the count-table cell of each of its run keys."""
+    plus1 = [f[0] for f in first]
+    plus2 = [p[0] for i in (0, 1) for rows in second for p in rows[i]]  # at 9i + 3x + y
+    edges = [sorted({t for t in ts if 0.0 < t < 1.0}) for ts in (plus1, plus2)]
     low1, low2 = (np.array([0.0, *e]) for e in edges)
     pairs = np.arange(9)[:, None]
-    minus1 = low1 >= np.array(born[::2])[pairs // 3]
-    minus2 = low2 >= np.array(second)[9 * minus1 + pairs][..., None]
+    minus1 = low1 >= np.array(plus1)[pairs // 3]
+    minus2 = low2 >= np.array(plus2)[9 * minus1 + pairs][..., None]
     cells = ((4 * pairs + 2 * minus1)[..., None] + minus2).astype(np.int8).ravel()
+    if len(cells) > 256:
+        raise ValueError(f"a law table of {len(cells)} run keys does not fit uint8 keys")
     return partial(_quantum_chunk, *edges), cells
 
 

@@ -215,26 +215,24 @@ def _estimated_report(
     return InequalityReport(inequality_id, lhs, rhs, stderr, sigma_threshold)
 
 
+def _eval_triangle(inequality_id: str, p_ac, p_ab, p_bc, sigma_threshold: float) -> InequalityReport:
+    """P(x,z) <= P(x,y) + P(y,z) on three estimated probabilities: EQ7 and EQ8."""
+    rhs = p_ab.value + p_bc.value
+    return _estimated_report(inequality_id, p_ac.value, rhs, (p_ac, p_ab, p_bc), sigma_threshold)
+
+
 def eval_eq7(
-    p_ac: Estimate,
-    p_ab: Estimate,
-    p_bc: Estimate,
-    sigma_threshold: float = DEFAULT_SIGMA,
+    p_ac: Estimate, p_ab: Estimate, p_bc: Estimate, sigma_threshold: float = DEFAULT_SIGMA
 ) -> InequalityReport:
     """P(a+,c-) <= P(a+,b-) + P(b+,c-) on estimated probabilities."""
-    rhs = p_ab.value + p_bc.value
-    return _estimated_report("EQ7", p_ac.value, rhs, (p_ac, p_ab, p_bc), sigma_threshold)
+    return _eval_triangle("EQ7", p_ac, p_ab, p_bc, sigma_threshold)
 
 
 def eval_eq8(
-    p_ac: Estimate,
-    p_ab: Estimate,
-    p_bc: Estimate,
-    sigma_threshold: float = DEFAULT_SIGMA,
+    p_ac: Estimate, p_ab: Estimate, p_bc: Estimate, sigma_threshold: float = DEFAULT_SIGMA
 ) -> InequalityReport:
     """P(a-,c+) <= P(a-,b+) + P(b-,c+) on estimated probabilities."""
-    rhs = p_ab.value + p_bc.value
-    return _estimated_report("EQ8", p_ac.value, rhs, (p_ac, p_ab, p_bc), sigma_threshold)
+    return _eval_triangle("EQ8", p_ac, p_ab, p_bc, sigma_threshold)
 
 
 def eval_eq10(e_ab, e_bc, e_ac, sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:

@@ -439,21 +439,40 @@ def _rank_cases():
     return [at_bound, tied]
 
 
+def table_law(first, second):
+    """The 36 cells of a two-step law table in C order: first[x][i] * second[x][i][y][j]."""
+    axes = itertools.product(range(3), range(3), (0, 1), (0, 1))
+    return np.array([first[x][i] * second[x][i][y][j] for x, y, i, j in axes])
+
+
+def random_table(rng, plus2):
+    """A two-step table with random first[x][0], the given 18 second[x][i][y][0]
+    in (x, i, y) order, and each -1 entry one minus its +1 entry."""
+    first = [(p, 1.0 - p) for p in rng.random(3).tolist()]
+    rows = np.reshape(plus2, (3, 2, 3)).tolist()
+    return first, [[[(q, 1.0 - q) for q in row] for row in pair] for pair in rows]
+
+
 class TestChunkKernels:
     @pytest.mark.parametrize("config", [c for c in _oracle_cases() if c.model is Model.QUANTUM])
     def test_quantum_thresholds_are_the_laws_factors(self, config):
         # the kernel ranks its uniforms among cell_law's own numbers: its
-        # edges are the law's factors strictly inside (0, 1), sorted and
-        # distinct, to the bit
-        born, second = engine._quantum_factors(config)
+        # edges are the table's +1 entries strictly inside (0, 1), sorted and
+        # distinct, and the table is born_prob's and dot's, to the bit
+        first, second = engine._quantum_law(config)
         edges = engine._series_kernel(config)[0].args
-        assert edges == tuple(sorted({f for f in fs if 0.0 < f < 1.0}) for fs in (born[::2], second))
-        p_first, p_second = np.array(born[::2]), np.array(second)
-        expected_first, expected_second = law_factors(config)
-        assert p_first.tobytes() == expected_first.tobytes()
-        assert p_second.tobytes() == expected_second.tobytes()
-        law = cell_law(config)
-        assert law[:, :, 0, 0].tobytes() == (p_first[:, None] * p_second[:9].reshape(3, 3)).tobytes()
+        plus1 = [first[x][0] for x in range(3)]
+        plus2 = [second[x][i][y][0] for x, i, y in itertools.product(range(3), (0, 1), range(3))]
+        assert edges == tuple(sorted({f for f in fs if 0.0 < f < 1.0}) for fs in (plus1, plus2))
+        state, d = start_state(config), config.directions
+        expected_first = [[born_prob(state, x, s) for s in OUTCOMES] for x in d]
+        expected_second = [
+            [[[0.5 * (1.0 + int(s) * int(t) * dot(x, y)) for t in OUTCOMES] for y in d] for s in OUTCOMES]
+            for x in d
+        ]
+        assert np.array(first).tobytes() == np.array(expected_first).tobytes()
+        assert np.array(second).tobytes() == np.array(expected_second).tobytes()
+        assert cell_law(config).tobytes() == table_law(first, second).tobytes()
 
     def test_same_setting_twice_is_certain(self):
         # x.x is exactly 1, so a setting measured twice gives the same outcome
@@ -462,11 +481,40 @@ class TestChunkKernels:
         for _ in range(200):
             dirs = tuple(random_direction(rng) for _ in range(3))
             state = random_state(rng, random_direction(rng))
-            _, second = engine._quantum_factors(quantum_config(directions=dirs, state=state))
-            assert [second[i] for i in (0, 4, 8)] == [1.0] * 3
-            assert [second[i] for i in (9, 13, 17)] == [0.0] * 3
+            _, second = engine._quantum_law(quantum_config(directions=dirs, state=state))
+            assert [second[x][0][x][0] for x in range(3)] == [1.0] * 3
+            assert [second[x][1][x][0] for x in range(3)] == [0.0] * 3
             for x, s in itertools.product(dirs, OUTCOMES):
                 assert quantum_pair_prob(state, x, s, x, s.flipped()) == 0.0
+
+    def test_table_kernel_samples_a_table_without_the_qubits_symmetry(self):
+        # the 18 second[x][i][y][0] take six random values, each at three
+        # random places, so second depends on s and t apart, not on s t alone;
+        # 3 + 6 distinct edges give 9 * 4 * 7 = 252 keys
+        rng = np.random.default_rng(2929)
+        first, second = random_table(rng, rng.permutation(np.repeat(rng.random(6), 3)))
+        kernel, cells = engine._table_kernel(first, second)
+        assert len(cells) == 252
+        n = 2**20
+        counts = np.zeros(36, dtype=np.int64)
+        for i in range(n // 2**16):  # each chunk on its own fresh stream
+            counts += np.bincount(cells[kernel(2**16, engine._chunk_rng(29, 0, i))], minlength=36)
+        critical = stats.chi2.ppf(0.999, 35)  # fixed: all 36 cells are allowed
+        stat, df = chi_square(counts, table_law(first, second), n)
+        assert df == 35
+        assert stat < critical
+        # the same counts read as if the table had the qubit's symmetry,
+        # second[x][1][y][j] = second[x][0][y][1 - j], are far off
+        by_st = [[rows[0], [row[::-1] for row in rows[0]]] for rows in second]
+        assert chi_square(counts, table_law(first, by_st), n)[0] > critical
+
+    def test_table_past_uint8_keys_raises(self):
+        # 3 first edges and 18 distinct second ones need 9 * 4 * 19 = 684
+        # keys; 7 second ones already need 288
+        rng = np.random.default_rng(29)
+        for plus2, n_keys in ((rng.random(18), 684), ([*rng.random(6), *[0.5] * 12], 288)):
+            with pytest.raises(ValueError, match=f"{n_keys} run keys"):
+                engine._table_kernel(*random_table(rng, plus2))
 
     def test_keys_fit_uint8_at_the_bound(self):
         # a qubit law has at most 3 first and 6 second thresholds inside
@@ -722,7 +770,7 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_pool_keeps_few_chunks_in_flight(self, monkeypatch):
+    def test_pool_submits_one_share_per_worker(self, monkeypatch):
         # a stand-in executor counts the submissions not yet collected
         outstanding, most = [0], [0]
 
@@ -754,8 +802,8 @@ class TestRunEnsemble:
         assert np.array_equal(pooled.table.counts, serial.table.counts)
         assert np.array_equal(pooled.hidden.counts, serial.hidden.counts)
         assert outstanding[0] == 0
-        # 300 chunks, never more than a few per worker outstanding
-        assert 2 <= most[0] <= 4 * 2
+        # 300 chunks in two shares: one submission per worker, both outstanding
+        assert most[0] == 2
 
     def test_seed_determinism(self):
         config = quantum_config(n_runs=5000, seed=123)
