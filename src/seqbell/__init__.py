@@ -36,6 +36,7 @@ from .engine import (
     run_two_series,
 )
 from .inequalities import (
+    InequalityReport,
     check_count_inequality,
     eq5_ratio,
     estimate_expectation,
@@ -49,7 +50,6 @@ from .inequalities import (
     quantum_pair_prob,
     two_series_estimate,
 )
-from .reporting import InequalityReport
 from .search import SearchConfig, TripleConfiguration, grid_oracle, maximize
 from .config import ExperimentConfig, load_config, parse_config
 

@@ -1,10 +1,11 @@
 """Command line interface: predict | simulate | optimize | verify.
 
-All numeric output in structured mode is full-precision key = value lines;
-two invocations with the same config and seed print byte-identical reports
-regardless of the worker count.  Inequality violations are scientific
-results and never affect the exit status; only configuration and I/O
-errors do.
+Each report is a list of rows over the estimates and verdicts that
+`inequalities` makes.  `render` writes it as tabular lines, or as flat
+"key = value" lines with full-precision floats (shortest round-trip repr),
+so the same config and seed print the same bytes for any worker count.
+Violated inequalities are results, not errors: they never set the exit
+status.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import REPORT_FORMATS, ExperimentConfig, apply_overrides, load_config, parse_config
@@ -30,17 +34,16 @@ from .inequalities import (
     EQ7_PROBS,
     EQ8_PROBS,
     PAIRS,
+    InequalityReport,
     check_count_inequality,
     eq5_ratios,
-    eq16_report,
-    eq18_report,
     eval_eq10,
     evaluate_table,
+    exact_reports,
     two_series_estimate,
 )
 from .lhv import PAIR_MARGINAL_KEYS
 from .qubit import Outcome, dot
-from .reporting import InequalityReport, inequality_row, render
 from .search import (
     OBJECTIVE_KINDS,
     SearchConfig,
@@ -53,6 +56,75 @@ from .verify import run_verification
 
 ALL_PROBS = EQ7_PROBS + EQ8_PROBS
 _SIGN = {Outcome.PLUS: "+", Outcome.MINUS: "-"}
+
+
+# the text of the common value types, found by exact type
+_TEXT = {float: repr, int: str, bool: {True: "true", False: "false"}.__getitem__}
+
+
+def fmt_value(value) -> str:
+    """Canonical text for one report value."""
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, np.generic):  # a numpy scalar reads as its Python value
+        return fmt_value(value.item())
+    if isinstance(value, Enum):
+        return str(value.value)
+    return str(value)
+
+
+_REPORT_FIELDS = (
+    "defined", "lhs", "rhs", "margin", "stderr_margin", "n_sigma", "sigma_threshold", "violated"
+)
+
+
+@functools.cache
+def _inequality_parts(inequality_id: str):
+    """The structured keys of one inequality id, and its tabular templates:
+    satisfied, violated and undefined."""
+    keys = tuple(f"inequality.{inequality_id}.{field} = " for field in _REPORT_FIELDS)
+    label = f"  {inequality_id:<5} ".replace("{", "{{").replace("}", "}}")
+    defined = label + "lhs={1: .6f}  rhs={2: .6f}  margin={3: .6f} +/- {4:.6f}  [{5:+.2f} sigma]  "
+    undefined = label + "undefined (insufficient statistics)"
+    return keys, (defined + "satisfied", defined + "VIOLATED", undefined)
+
+
+def inequality_row(report: InequalityReport) -> tuple:
+    """The report row of one inequality; an undefined one has a single key."""
+    keys, templates = _inequality_parts(report.inequality_id)
+    if not report.defined:
+        return templates[2], keys, (False,)
+    r, violated = report, report.violated
+    values = (True, r.lhs, r.rhs, r.margin, r.stderr_margin, r.n_sigma, r.sigma_threshold, violated)
+    return templates[violated], keys, values
+
+
+def render(report_format: str, command: str, title: str | None, config, rows) -> str:
+    """One report in either format.  A row (template, keys, values) gives the
+    tabular line template.format(*values), none for a None template, and the
+    structured lines key + fmt_value(value) over zip(keys, values); values
+    past the last key are tabular-only.  A config adds its protocol lines and
+    digest to the structured header, and its digest under the tabular title."""
+    if config is not None:
+        protocol = config.protocol_lines()
+        digest = config.digest(protocol)
+    if report_format == "structured":
+        lines = ["format = structured", f"command = {command}"]
+        if config is not None:
+            lines.append(f"config.digest = {digest}")
+            lines += ["config." + line for line in protocol]
+        text = _TEXT.get  # fmt_value's first step, taken here for its common types
+        lines += [
+            key + (f(v) if (f := text(type(v))) else fmt_value(v))
+            for _, keys, values in rows for key, v in zip(keys, values)
+        ]
+    else:
+        lines = [] if title is None else [title]
+        if config is not None:
+            lines.append(f"config digest: {digest}")
+        lines += [t.format(*values) for t, _, values in rows if t is not None]
+    return "\n".join(lines) + "\n"
 
 
 def _prob_key(x, sx, y, sy, sep=".") -> str:
@@ -137,15 +209,9 @@ def _exact_pair_probs(config: ExperimentConfig, use_prep: bool) -> dict[tuple, f
 
 def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
     a, b, c = config.directions
-    sigma = config.sigma
     ab, bc, ac = dot(a, b), dot(b, c), dot(a, c)
-    eq16, eq18 = eq16_report(a, b, c, sigma), eq18_report(a, b, c, sigma)
-    reports = [eq16, eq18, InequalityReport("EQ10", ab + bc - ac, 1.0, sigma_threshold=sigma)]
     probs = _exact_pair_probs(config, use_prep)
-    triplets = [
-        InequalityReport(eq, probs[lhs], probs[rhs1] + probs[rhs2], sigma_threshold=sigma)
-        for eq, (lhs, rhs1, rhs2) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS))
-    ]
+    reports = exact_reports(ab, bc, ac, probs, config.sigma)
     source = "preparation eigenstate" if use_prep else (
         "configured state" if config.model is Model.QUANTUM else "configured weights"
     )
@@ -154,14 +220,14 @@ def build_predict_report(config: ExperimentConfig, use_prep: bool) -> str:
         *_direction_rows(config.directions),
         ("  a.b = {:+.9f}   b.c = {:+.9f}   a.c = {:+.9f}", _DOT_KEYS, (ab, bc, ac)),
         _BLANK,
-        ("lhs16 = {:.15f}", ("closed.lhs16 = ",), (eq16.lhs,)),
-        ("lhs18 = {:.15f}", ("closed.lhs18 = ",), (eq18.lhs,)),
+        ("lhs16 = {:.15f}", ("closed.lhs16 = ",), (reports[0].lhs,)),
+        ("lhs18 = {:.15f}", ("closed.lhs18 = ",), (reports[1].lhs,)),
         _text("\ninequalities (closed form):"),
-        *map(inequality_row, reports),
+        *map(inequality_row, reports[:3]),
         _text(f"\npair probabilities from the {source}:"),
         *[(*_PROB_ROWS[key], (value,)) for key, value in probs.items()],
         _text("\ninequalities (probability form):"),
-        *map(inequality_row, triplets),
+        *map(inequality_row, reports[3:]),
     ]
     return render(config.report_format, "predict", "exact predictions (no sampling)", config, rows)
 

@@ -23,9 +23,9 @@ from functools import partial
 from operator import attrgetter
 
 from .engine import ConfigError, Mode, Model, ProtocolConfig
+from .inequalities import DEFAULT_SIGMA
 from .lhv import TRIPLE_LABELS, Disturbance, Setting
 from .qubit import Direction, Outcome, PureState, direction_from_spherical
-from .reporting import DEFAULT_SIGMA
 from .search import OBJECTIVE_KINDS, SearchConfig
 
 REPORT_FORMATS = ("tabular", "structured")

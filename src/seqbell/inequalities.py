@@ -19,8 +19,9 @@ Inequality ids and their content:
 EQ18 relates to EQ7 through the exact identity lhs18 = 1 - 4 * margin7, so
 a probability-level estimate of EQ7 doubles as an estimate of lhs18.
 
-Every estimate and verdict is made here, from the count tables that
-`engine` samples and `lhv` defines.
+Every estimate and verdict (`InequalityReport`) is made here, from the
+count tables that `engine` samples and `lhv` defines or from exact dots and
+probabilities; `cli` only renders them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import NamedTuple
 from .engine import RunCountTable
 from .lhv import PAIR_MARGINAL_KEYS, HiddenCountTable, Setting, eq4_cells, hidden_marginal
 from .qubit import Direction, Outcome, PureState, born_prob, dot
-from .reporting import DEFAULT_SIGMA, InequalityReport, undefined_report
 
 A, B, C = Setting.A, Setting.B, Setting.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -42,6 +42,59 @@ PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 PAIRS = ((A, B), (B, C), (A, C))
 EQ7_PROBS = ((A, PLUS, C, MINUS), (A, PLUS, B, MINUS), (B, PLUS, C, MINUS))
 EQ8_PROBS = ((A, MINUS, C, PLUS), (A, MINUS, B, PLUS), (B, MINUS, C, PLUS))
+
+DEFAULT_SIGMA = 5.0
+
+
+@dataclass(frozen=True)
+class InequalityReport:
+    """Outcome of evaluating one inequality instance.
+
+    margin = rhs - lhs; a violation is a margin below zero by more than
+    sigma_threshold standard errors (or simply below zero for exact,
+    zero-error evaluations).
+    """
+
+    inequality_id: str
+    lhs: float
+    rhs: float
+    stderr_margin: float = 0.0
+    sigma_threshold: float = DEFAULT_SIGMA
+    defined: bool = True
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def n_sigma(self) -> float:
+        """Signed margin in units of its standard error (negative = violation side)."""
+        if self.stderr_margin > 0.0:
+            return self.margin / self.stderr_margin
+        if self.margin > 0.0:
+            return math.inf
+        if self.margin < 0.0:
+            return -math.inf
+        return 0.0
+
+    @property
+    def violated(self) -> bool:
+        if not self.defined:
+            return False
+        if self.stderr_margin > 0.0:
+            return self.margin < -self.sigma_threshold * self.stderr_margin
+        return self.margin < 0.0
+
+
+def undefined_report(inequality_id: str, sigma_threshold: float = DEFAULT_SIGMA) -> InequalityReport:
+    return InequalityReport(
+        inequality_id=inequality_id,
+        lhs=math.nan,
+        rhs=math.nan,
+        stderr_margin=0.0,
+        sigma_threshold=sigma_threshold,
+        defined=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -146,16 +199,20 @@ def lhs18(a: Direction, b: Direction, c: Direction) -> float:
     return _lhs("EQ18", dot(a, b), dot(a, c), dot(b, c))
 
 
-def eq16_report(
-    a: Direction, b: Direction, c: Direction, sigma_threshold: float = DEFAULT_SIGMA
-) -> InequalityReport:
-    return InequalityReport("EQ16", lhs=lhs16(a, b, c), rhs=1.0, sigma_threshold=sigma_threshold)
-
-
-def eq18_report(
-    a: Direction, b: Direction, c: Direction, sigma_threshold: float = DEFAULT_SIGMA
-) -> InequalityReport:
-    return InequalityReport("EQ18", lhs=lhs18(a, b, c), rhs=1.0, sigma_threshold=sigma_threshold)
+def exact_reports(
+    ab: float, bc: float, ac: float, probs: dict, sigma_threshold: float = DEFAULT_SIGMA
+) -> list[InequalityReport]:
+    """The exact verdicts of a prediction, in report order: EQ16, EQ18 and
+    EQ10 from the dots of PAIRS, then EQ7 and EQ8 from exact pair
+    probabilities keyed as EQ7_PROBS and EQ8_PROBS.  None has an error."""
+    sides = [
+        ("EQ16", _lhs("EQ16", ab, ac, bc), 1.0),
+        ("EQ18", _lhs("EQ18", ab, ac, bc), 1.0),
+        ("EQ10", ab + bc - ac, 1.0),  # in its own order: the last bit can differ from lhs16's
+    ]
+    for eq, (p_ac, p_ab, p_bc) in (("EQ7", EQ7_PROBS), ("EQ8", EQ8_PROBS)):
+        sides.append((eq, probs[p_ac], probs[p_ab] + probs[p_bc]))
+    return [InequalityReport(eq, lhs, rhs, sigma_threshold=sigma_threshold) for eq, lhs, rhs in sides]
 
 
 def check_count_inequality(

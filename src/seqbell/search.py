@@ -81,8 +81,8 @@ class SearchConfig:
             raise ValueError(f"step_tolerance must be finite and > 0, got {self.step_tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
         check_grid_resolution(self.grid_resolution)
 
 

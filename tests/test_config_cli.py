@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 from seqbell import cli
 from seqbell import config as config_module
-from seqbell.cli import main
+from seqbell.cli import fmt_value, inequality_row, main, render
 from seqbell.config import REPORT_FORMATS, ExperimentConfig, parse_config
 from seqbell.engine import DEFAULT_A, ConfigError, Mode, Model, ProtocolConfig, RunCountTable
-from seqbell.inequalities import check_count_inequality, eq5_ratio, evaluate_table
+from seqbell.inequalities import (
+    InequalityReport,
+    check_count_inequality,
+    eq5_ratio,
+    evaluate_table,
+    undefined_report,
+)
 from seqbell.lhv import (
     PAIR_MARGINAL_KEYS,
     TRIPLE_LABELS,
@@ -30,13 +36,6 @@ from seqbell.qubit import (
     direction_from_spherical,
     eigenstate,
     overlap,
-)
-from seqbell.reporting import (
-    InequalityReport,
-    fmt_value,
-    inequality_row,
-    render,
-    undefined_report,
 )
 from seqbell.search import SearchConfig, TripleConfiguration
 
@@ -207,6 +206,8 @@ CONFIG_ERRORS = [
     ("bad-log-runs", "output.log_runs = yes", "output.log_runs must be true or false, got 'yes'"),
     ("bad-objective", "optimizer.objective = eq17", "optimizer.objective must be eq16 or eq18, got 'eq17'"),
     ("optimizer-value", "optimizer.starts = 0", "optimizer: n_starts must be >= 1, got 0"),
+    ("optimizer-seed", "optimizer.seed = 18446744073709551616",
+     "optimizer: seed must be a non-negative 64-bit integer, got 18446744073709551616"),
     ("optimizer-int", "optimizer.max_iterations = ten",
      "key 'optimizer.max_iterations': not an integer: 'ten'"),
     ("optimizer-float", "optimizer.grid_resolution = fine",

@@ -318,7 +318,7 @@ def law_factors(config):
 class TestCellLaw:
     def test_matches_pair_probs_bitwise(self):
         cells = list(itertools.product((A, B, C), (A, B, C), OUTCOMES, OUTCOMES))
-        for config, _ in LAW_CASES.values():
+        for config in [config for config, _ in LAW_CASES.values()] + _oracle_cases():
             law = cell_law(config)
             prepared = config.mode is Mode.PREPARED
             if config.model is Model.QUANTUM:

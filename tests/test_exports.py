@@ -104,6 +104,8 @@ REMOVED = [
     "qubit.Direction.__neg__",
     "engine.EnsembleResult.n_runs",
     "qubit.azimuth_about",
+    "inequalities.eq16_report",
+    "inequalities.eq18_report",
 ]
 
 # every name README says has moved to inequalities, as its old dotted path
@@ -151,16 +153,54 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The modules a module imports from, and those it imports by `from . import`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
 @pytest.mark.parametrize("module", ["engine", "lhv"])
 def test_sampler_and_model_make_no_estimate_or_verdict(module):
-    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    assert [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "reporting"] == []
+    tree = _parse(module)
+    assert _imported_modules(tree).isdisjoint({"inequalities", "cli"})
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert used.isdisjoint({"InequalityReport", "DEFAULT_SIGMA", "Estimate", "undefined_report"})
-    statistics = _top_level_names(ast.parse((SRC / "inequalities.py").read_text(encoding="utf-8")))
+    statistics = _top_level_names(_parse("inequalities"))
     defined = _top_level_names(tree)
     assert defined.isdisjoint(statistics)
     assert defined.isdisjoint({"_PAIR_MASKS", "_MARGINAL_CELLS", "_LHV_FOLD"})
+
+
+def _called_names(tree: ast.Module) -> set[str]:
+    """The names a module calls, bare or as an attribute."""
+    calls = [n.func for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    return {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+
+
+VERDICT_NAMES = {"InequalityReport", "undefined_report"}
+RENDER_NAMES = {"render", "fmt_value", "inequality_row"}
+
+
+def test_verdicts_are_made_in_inequalities_and_rendered_in_cli():
+    cli_tree, inequalities_tree = _parse("cli"), _parse("inequalities")
+    assert "InequalityReport" not in _called_names(cli_tree)
+    assert "cli" not in _imported_modules(inequalities_tree)
+    assert VERDICT_NAMES <= _top_level_names(inequalities_tree)
+    assert RENDER_NAMES <= _top_level_names(cli_tree)
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("cli", "inequalities"):
+            assert _top_level_names(_parse(path.stem)).isdisjoint(VERDICT_NAMES | RENDER_NAMES)
+    assert seqbell.InequalityReport is inequalities.InequalityReport
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("seqbell.reporting")
+    assert "`seqbell.reporting`" in README.read_text(encoding="utf-8")
 
 
 def test_readme_config_section_lists_every_key():

@@ -11,18 +11,19 @@ from seqbell.engine import (
     run_ensemble,
 )
 from seqbell.inequalities import (
+    EQ7_PROBS,
+    EQ8_PROBS,
     UNDEFINED_ESTIMATE,
     Eq5Ratio,
     Estimate,
     check_count_inequality,
     eq5_ratio,
     eq5_ratios,
-    eq16_report,
-    eq18_report,
     eval_eq6,
     eval_eq7,
     eval_eq8,
     eval_eq10,
+    exact_reports,
     lhs16,
     lhs18,
     quantum_pair_prob,
@@ -147,13 +148,28 @@ class TestAlgebraicForms:
             assert abs((1.0 - 4.0 * margin) - lhs18(a, b, c)) < 1e-12
 
     def test_closed_reports(self):
-        r16 = eq16_report(*eq16_directions())
-        assert r16.violated and r16.stderr_margin == 0.0
-        r18 = eq18_report(*eq18_directions())
-        assert r18.violated
+        def reports(a, b, c):
+            # the pair probabilities from the a+ eigenstate
+            psi, d = state_from_bloch(a.as_array()), {A: a, B: b, C: c}
+            probs = {
+                (x, sx, y, sy): quantum_pair_prob(psi, d[x], sx, d[y], sy)
+                for x, sx, y, sy in EQ7_PROBS + EQ8_PROBS
+            }
+            return exact_reports(dot(a, b), dot(b, c), dot(a, c), probs)
+
+        r16, r18, r10, r7, r8 = reports(*eq16_directions())
+        assert [r.inequality_id for r in (r16, r18, r10, r7, r8)] == ["EQ16", "EQ18", "EQ10", "EQ7", "EQ8"]
+        assert all(r.stderr_margin == 0.0 for r in (r16, r18, r10, r7, r8))
+        assert r16.violated and r10.violated
+        assert r16.lhs == lhs16(*eq16_directions()) and r10.lhs == pytest.approx(r16.lhs, abs=1e-15)
+        r16, r18, r10, r7, r8 = reports(*eq18_directions())
+        assert r18.violated and r7.violated
+        assert r18.lhs == lhs18(*eq18_directions())
+        assert r7.margin == pytest.approx((1.0 - r18.lhs) / 4.0, abs=1e-15)
         d = Direction(1.0, 0.0, 0.0)
-        assert not eq16_report(d, d, d).violated
-        assert eq16_report(d, d, d).margin == pytest.approx(0.0, abs=1e-12)
+        r16, r18, r10, r7, r8 = reports(d, d, d)
+        assert not any(r.violated for r in (r16, r18, r10, r7, r8))
+        assert r16.margin == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEq6:
