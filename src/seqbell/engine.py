@@ -11,10 +11,11 @@ entries of a two-step law table, and the quantum sampler ranks draws among them.
 Ensembles are generated in fixed-size chunks.  Chunk i of series s uses an
 RNG stream derived from (seed, s, i); chunk tallies of the run keys add up,
 and each series folds the sum once through its model's table from keys to
-count cells, so results are bit-identical for any worker count.  Each thread
-tallies its own share of the chunks: the samplers run in numpy, which releases
-the GIL, but np.bincount's counting loop holds it.  Only the count tables are
-kept: the run log regenerates each chunk's runs from its stream, one at a time.
+count cells, so results are bit-identical for any worker count.  The calling
+thread tallies share 0 of the chunks and pool_size - 1 started threads tally
+the rest: the samplers run in numpy, which releases the GIL, but np.bincount's
+counting loop holds it.  Only the count tables are kept: the run log
+regenerates each chunk's runs from its stream, one at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -374,23 +374,47 @@ def _share_tally(config: ProtocolConfig, kernel, n_keys: int, series: int, stop,
     return tally
 
 
+def _started_share(share_tally, first: int, shares: list) -> None:
+    """Append share `first`'s tally, or the exception that ended it, to `shares`."""
+    try:
+        shares.append(share_tally(first))
+    except BaseException as exc:
+        shares.append(exc)
+
+
 def _generate_series(config: ProtocolConfig, kernel, cells, series: int, workers: int):
-    """One series' key tally, summed over one share of its chunks per worker, folded
-    once into its 36 cell counts and, for the lhv model, its 8 reality counts."""
+    """One series' key tally, summed over its pool_size shares of chunks, folded once
+    into its 36 cell counts and, for the lhv model, its 8 reality counts.
+
+    The calling thread tallies share 0 and one started thread each of shares
+    1 ... pool_size - 1.  Every started thread is joined before this returns
+    or raises; a failure of share 0 is raised as it is, else the first failure
+    that a started thread recorded.
+    """
     # more threads than chunks or CPUs would only wait
     pool_size = max(1, min(workers, -(-config.n_runs // config.chunk_size), _usable_cpus()))
     stop = threading.Event()
     share_tally = partial(_share_tally, config, kernel, len(cells), series, stop, step=pool_size)
-    if pool_size == 1:
+    shares, threads = [], []
+    try:
+        for w in range(1, pool_size):
+            thread = threading.Thread(target=_started_share, args=(share_tally, w, shares))
+            thread.start()
+            threads.append(thread)
         tally = share_tally(0)
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(share_tally, w) for w in range(pool_size)]
-            try:
-                tally = sum(future.result() for future in futures)
-            finally:
-                # on a failure or an interrupt here, the workers stop within a chunk
-                stop.set()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # on a failure or an interrupt here, the started threads stop within a chunk
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for share in shares:
+        if isinstance(share, BaseException):
+            raise share
+        tally += share
     counts = np.zeros(36, dtype=np.int64)
     np.add.at(counts, cells, tally)
     hidden = HiddenCountTable(tally.reshape(8, 9).sum(1)) if config.model is Model.LHV else None

@@ -97,14 +97,22 @@ def point_mass(label):
     return TripleDistribution(np.eye(8)[TRIPLE_LABELS.index(label)])
 
 
-class DoneFuture:
-    """What a stand-in executor's submit returns: the result, already there."""
+def record_chunk_threads(monkeypatch):
+    """Record the thread that draws each chunk, by chunk index, and every thread started."""
+    drawn, started = {}, []
+    draw_chunk, start = engine._draw_chunk, threading.Thread.start
 
-    def __init__(self, value):
-        self.value = value
+    def recording(config, kernel, series, chunk_index, size):
+        drawn.setdefault(chunk_index, []).append(threading.current_thread())
+        return draw_chunk(config, kernel, series, chunk_index, size)
 
-    def result(self):
-        return self.value
+    def recording_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(engine, "_draw_chunk", recording)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return drawn, started
 
 
 class TestDrawSettingPair:
@@ -617,7 +625,8 @@ class TestThreadPool:
     def test_no_process_pool_module_imported(self):
         code = (
             "import sys, seqbell.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent.futures.process', 'logging'}"
+            " & set(sys.modules)))"
         )
         # the child finds seqbell where this process found it, with or without PYTHONPATH
         src = str(Path(engine.__file__).resolve().parents[1])
@@ -650,6 +659,33 @@ class TestThreadPool:
         with pytest.raises(RuntimeError, match="chunk 3 failed"):
             run_ensemble(quantum_config(n_runs=200 * 50, chunk_size=50), workers=2)
         assert 2 <= calls[0] <= 20
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("chunk 2 failed"), KeyboardInterrupt()], ids=["error", "interrupt"]
+    )
+    def test_failing_calling_thread_stops_the_others_within_a_chunk(self, monkeypatch, error):
+        # two shares over 200 chunks; chunk 2, the second of the calling thread's
+        # share 0, fails while the started thread would still have about 100 to go
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        draw_chunk, lock, calls = engine._draw_chunk, threading.Lock(), [0]
+        caller = threading.current_thread()
+
+        def failing(config, kernel, series, chunk_index, size):
+            with lock:
+                calls[0] += 1
+            if chunk_index == 2:
+                assert threading.current_thread() is caller
+                raise error
+            time.sleep(0.002)  # lets the other share take its next chunk meanwhile
+            return draw_chunk(config, kernel, series, chunk_index, size)
+
+        monkeypatch.setattr(engine, "_draw_chunk", failing)
+        before = threading.enumerate()
+        with pytest.raises(type(error)) as raised:
+            run_ensemble(quantum_config(n_runs=200 * 50, chunk_size=50), workers=2)
+        assert raised.value is error
+        assert 3 <= calls[0] <= 20
+        assert threading.enumerate() == before
 
     @pytest.mark.parametrize(
         "config",
@@ -729,33 +765,30 @@ class TestRunEnsemble:
         assert len(pickle.dumps(result)) < 4096
 
     def test_pool_size_capped_by_chunks_and_cpus(self, monkeypatch):
-        # a stand-in executor records the pool size and runs in this process
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return DoneFuture(fn(*args))
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", FakePool)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         five_chunks = quantum_config(n_runs=5000, seed=8, chunk_size=1000)
         serial = run_ensemble(five_chunks)
-        for workers in (64, 2, 1):
-            result = run_ensemble(five_chunks, workers=workers)
-            assert np.array_equal(result.table.counts, serial.table.counts)
-        run_ensemble(quantum_config(n_runs=2000, chunk_size=1000), workers=64)
-        run_ensemble(quantum_config(n_runs=500, chunk_size=1000), workers=64)
-        # min(workers, chunks, CPUs); one worker or one chunk starts no pool
-        assert sizes == [3, 2, 2]
+        drawn, started = record_chunk_threads(monkeypatch)
+        shares, starts = [], []
+        for config, workers in [(five_chunks, 64), (five_chunks, 2), (five_chunks, 1)] + [
+            (quantum_config(n_runs=2000, chunk_size=1000), 64),
+            (quantum_config(n_runs=500, chunk_size=1000), 64),
+        ]:
+            drawn.clear()
+            started.clear()
+            result = run_ensemble(config, workers=workers)
+            if config is five_chunks:
+                assert np.array_equal(result.table.counts, serial.table.counts)
+            # each chunk tallied once, chunk i by share i % shares, share 0 by this thread
+            threads = [drawn[i] for i in range(len(drawn))]
+            assert all(len(chunk) == 1 for chunk in threads)
+            shares.append(len({id(chunk[0]) for chunk in threads}))
+            assert all(chunk[0] is threads[i % shares[-1]][0] for i, chunk in enumerate(threads))
+            assert threads[0][0] is threading.current_thread()
+            starts.append(len(started))
+        # min(workers, chunks, CPUs) shares; one worker or one chunk starts no thread
+        assert shares == [3, 2, 1, 2, 1]
+        assert starts == [2, 1, 0, 1, 0]
 
     def test_chunk_plan_is_never_built(self, monkeypatch):
         # 10^10 runs are 152 588 default chunks: nothing may grow with that count
@@ -771,39 +804,22 @@ class TestRunEnsemble:
         assert peak < 2**20
 
     def test_pool_submits_one_share_per_worker(self, monkeypatch):
-        # a stand-in executor counts the submissions not yet collected
-        outstanding, most = [0], [0]
-
-        class Collected(DoneFuture):
-            def result(self):
-                outstanding[0] -= 1
-                return self.value
-
-        class CountingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                outstanding[0] += 1
-                most[0] = max(most[0], outstanding[0])
-                return Collected(fn(*args))
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         config = lhv_config(n_runs=3000, seed=31, chunk_size=10)
         serial = run_ensemble(config)
+        drawn, started = record_chunk_threads(monkeypatch)
+        before = threading.enumerate()
         pooled = run_ensemble(config, workers=2)
         assert np.array_equal(pooled.table.counts, serial.table.counts)
         assert np.array_equal(pooled.hidden.counts, serial.hidden.counts)
-        assert outstanding[0] == 0
-        # 300 chunks in two shares: one submission per worker, both outstanding
-        assert most[0] == 2
+        # 300 chunks in two shares, each tallied once: the even chunks on the
+        # calling thread, the odd ones on the one thread started, gone by the return
+        assert sorted(drawn) == list(range(300))
+        assert all(len(threads) == 1 for threads in drawn.values())
+        assert {drawn[i][0] for i in range(0, 300, 2)} == {threading.current_thread()}
+        assert {drawn[i][0] for i in range(1, 300, 2)} == set(started)
+        assert len(started) == 1
+        assert threading.enumerate() == before
 
     def test_seed_determinism(self):
         config = quantum_config(n_runs=5000, seed=123)
