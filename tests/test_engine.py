@@ -770,21 +770,21 @@ class TestRunEnsemble:
         serial = run_ensemble(five_chunks)
         drawn, started = record_chunk_threads(monkeypatch)
         shares, starts = [], []
-        for config, workers in [(five_chunks, 64), (five_chunks, 2), (five_chunks, 1)] + [
-            (quantum_config(n_runs=2000, chunk_size=1000), 64),
-            (quantum_config(n_runs=500, chunk_size=1000), 64),
-        ]:
+        two_chunks = quantum_config(n_runs=2000, chunk_size=1000)
+        one_chunk = quantum_config(n_runs=500, chunk_size=1000)
+        calls = [(five_chunks, 64), (five_chunks, 2), (five_chunks, 1), (two_chunks, 64), (one_chunk, 64)]
+        for config, workers in calls:
             drawn.clear()
             started.clear()
             result = run_ensemble(config, workers=workers)
             if config is five_chunks:
                 assert np.array_equal(result.table.counts, serial.table.counts)
             # each chunk tallied once, chunk i by share i % shares, share 0 by this thread
-            threads = [drawn[i] for i in range(len(drawn))]
-            assert all(len(chunk) == 1 for chunk in threads)
-            shares.append(len({id(chunk[0]) for chunk in threads}))
-            assert all(chunk[0] is threads[i % shares[-1]][0] for i, chunk in enumerate(threads))
-            assert threads[0][0] is threading.current_thread()
+            by_chunk = [drawn[i] for i in range(len(drawn))]
+            assert all(len(threads) == 1 for threads in by_chunk)
+            shares.append(len({id(threads[0]) for threads in by_chunk}))
+            assert all(t[0] is by_chunk[i % shares[-1]][0] for i, t in enumerate(by_chunk))
+            assert by_chunk[0][0] is threading.current_thread()
             starts.append(len(started))
         # min(workers, chunks, CPUs) shares; one worker or one chunk starts no thread
         assert shares == [3, 2, 1, 2, 1]
